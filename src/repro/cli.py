@@ -448,24 +448,46 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
+    from .core.pipeline import run_stream
     from .core.report import render_table
-    from .stream import WindowedCharacterizer
+    from .stream import WindowSnapshot
 
     logs, _ = _load_or_generate(args)
-    characterizer = WindowedCharacterizer(window_s=args.window)
+    result = run_stream(
+        logs,
+        window_s=args.window,
+        tracks=("characterization",),
+        detect_periods=False,
+        predict_urls=False,
+    )
+    # With no watermark lag, a late record is one older than a window
+    # that already closed: the input is out of time order.
+    if result.late_dropped:
+        raise ValueError(
+            "log stream is not time-ordered: "
+            f"{result.late_dropped} record(s) arrived after their window closed"
+        )
+    # The stream seals only windows that saw records; print a zero row
+    # for each empty window between busy ones.
+    by_index = {
+        round(snapshot.window_start / args.window): snapshot
+        for snapshot in result.snapshots
+    }
+    first = min(by_index, default=0)
     rows = []
-    for window in characterizer.windows(logs):
-        offset = window.window_start - logs[0].timestamp if logs else 0.0
+    for index in range(first, max(by_index, default=-1) + 1):
+        start = index * args.window
+        window = by_index.get(index) or WindowSnapshot(start, start + args.window)
         ratio = window.json_html_ratio
         rows.append(
             [
-                f"+{offset:.0f}s",
-                window.total_requests,
+                f"+{(index - first) * args.window:.0f}s",
+                window.records,
                 f"{window.json_share * 100:.1f}%",
                 "inf" if ratio == float("inf") else f"{ratio:.2f}",
                 f"{window.get_share * 100:.1f}%",
                 f"{window.uncacheable_share * 100:.1f}%",
-                window.client_count,
+                window.unique_clients,
             ]
         )
     print(

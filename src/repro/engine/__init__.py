@@ -1,7 +1,7 @@
 """Sharded parallel analysis engine.
 
 Splits a dataset into shards (:mod:`repro.engine.shard`), maps each
-shard to a mergeable partial state (:mod:`repro.engine.sketches`),
+shard to a mergeable partial state (:mod:`repro.engine.state`),
 runs the map phase on a serial/thread/process backend and folds the
 states back together in deterministic plan order
 (:mod:`repro.engine.executor`), checkpointing partials so interrupted
@@ -30,14 +30,7 @@ from .shard import (
     plan_item_shards,
     plan_memory_shards,
 )
-from .sketches import (
-    CountMinSketch,
-    HyperLogLog,
-    ReservoirSample,
-    TopK,
-    UniqueCounter,
-    stable_hash64,
-)
+from .sketches import HyperLogLog, stable_hash64
 from .state import CharacterizationState
 
 __all__ = [
@@ -45,7 +38,6 @@ __all__ = [
     "CharacterizationState",
     "CheckpointError",
     "CheckpointStore",
-    "CountMinSketch",
     "EngineError",
     "FileShard",
     "FlowCollectionState",
@@ -55,13 +47,10 @@ __all__ = [
     "NgramEvalState",
     "NgramSequenceState",
     "PeriodicityDetectionState",
-    "ReservoirSample",
     "RunReport",
     "Shard",
     "ShardExecutor",
     "ShardResult",
-    "TopK",
-    "UniqueCounter",
     "plan_directory_shards",
     "plan_item_shards",
     "plan_memory_shards",

@@ -1,34 +1,20 @@
 """Mergeable sketch accumulators for sharded analysis.
 
-Every structure here supports three operations with the same shape:
+A sketch supports three operations with the same shape as every
+engine state:
 
 * ``add(item)`` — fold one observation in, O(1);
 * ``merge(other)`` — combine two partial states such that
-  ``merge(A(x), A(y)) == A(x + y)`` (exactly for the counters,
-  within the documented error bound for the sketches);
+  ``merge(A(x), A(y)) == A(x + y)``;
 * pickling — partial states travel across process boundaries and
   into checkpoint files.
 
-The sketches trade exactness for bounded memory:
-
-* :class:`HyperLogLog` — unique-count estimation with relative
-  standard error ``1.04 / sqrt(2**precision)`` (~0.8% at the
-  default ``precision=14``, 16 KiB of registers).
-* :class:`UniqueCounter` — exact ``set`` up to a threshold, then
-  spills into a HyperLogLog; small windows stay exact, big ones
-  stay bounded.
-* :class:`ReservoirSample` — uniform sample of a stream for
-  quantile estimation in O(capacity) memory.
-* :class:`CountMinSketch` — frequency estimation, overestimates by
-  at most ``e/width * N`` with probability ``1 - e**-depth``.
-* :class:`TopK` — space-saving heavy hitters; any key with true
-  count above ``N/capacity`` is guaranteed present.
-
-:class:`~repro.engine.state.CharacterizationState` composes these
-with the exact §4 accumulators into the engine's map/combine unit of
-work; this module stays dependency-free (stdlib only) so low-level
-consumers (e.g. :mod:`repro.analysis.streaming`) can import a sketch
-without pulling in the analysis layer.
+:class:`HyperLogLog` estimates unique counts with relative standard
+error ``1.04 / sqrt(2**precision)`` (~0.8% at the default
+``precision=14``, 16 KiB of registers).  It rides in
+:class:`~repro.engine.state.CharacterizationState` beside the exact
+client set, so ``engine-bench`` can report the sketch's error against
+the exact count.
 
 All hashing uses :func:`stable_hash64` (keyed BLAKE2b), never the
 process-salted builtin ``hash`` — sketch states built in different
@@ -37,18 +23,10 @@ worker processes must agree on where an item lands.
 
 from __future__ import annotations
 
-import random
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable
 
-__all__ = [
-    "stable_hash64",
-    "HyperLogLog",
-    "UniqueCounter",
-    "ReservoirSample",
-    "CountMinSketch",
-    "TopK",
-]
+__all__ = ["stable_hash64", "HyperLogLog"]
 
 _HASH_BITS = 64
 
@@ -137,255 +115,3 @@ class HyperLogLog:
             if register > self.registers[index]:
                 self.registers[index] = register
         return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "precision": self.precision,
-            "registers": bytes(self.registers).hex(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HyperLogLog":
-        sketch = cls(precision=int(data["precision"]))
-        sketch.registers = bytearray(bytes.fromhex(data["registers"]))
-        return sketch
-
-
-class UniqueCounter:
-    """Hybrid unique counter: exact until a threshold, then a sketch.
-
-    Below ``exact_threshold`` distinct items this is an exact ``set``
-    (``len`` is exact, ``is_exact`` is True).  Beyond it, the set
-    spills into a :class:`HyperLogLog` and memory stays constant.
-    Merging two counters spills if the union would exceed the
-    threshold.
-    """
-
-    __slots__ = ("exact_threshold", "precision", "exact", "sketch")
-
-    def __init__(self, exact_threshold: int = 10_000, precision: int = 14) -> None:
-        if exact_threshold < 0:
-            raise ValueError("exact_threshold must be >= 0")
-        self.exact_threshold = exact_threshold
-        self.precision = precision
-        self.exact: Optional[set] = set()
-        self.sketch: Optional[HyperLogLog] = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def _spill(self) -> None:
-        sketch = HyperLogLog(self.precision)
-        if self.exact:
-            sketch.update(self.exact)
-        self.sketch = sketch
-        self.exact = None
-
-    def add(self, value: str) -> None:
-        if self.exact is not None:
-            self.exact.add(value)
-            if len(self.exact) > self.exact_threshold:
-                self._spill()
-        else:
-            self.sketch.add(value)
-
-    def __len__(self) -> int:
-        if self.exact is not None:
-            return len(self.exact)
-        return len(self.sketch)
-
-    def __contains__(self, value: str) -> bool:
-        if self.exact is None:
-            raise TypeError("membership is unavailable after sketch spill")
-        return value in self.exact
-
-    def merge(self, other: "UniqueCounter") -> "UniqueCounter":
-        if self.exact is not None and other.exact is not None:
-            self.exact |= other.exact
-            if len(self.exact) > self.exact_threshold:
-                self._spill()
-            return self
-        if self.exact is not None:
-            self._spill()
-        if other.exact is not None:
-            self.sketch.update(other.exact)
-        else:
-            self.sketch.merge(other.sketch)
-        return self
-
-
-class ReservoirSample:
-    """Uniform reservoir sample (Vitter's Algorithm R), mergeable.
-
-    Holds at most ``capacity`` items; every stream element has equal
-    probability ``capacity / n`` of being retained.  Merging draws
-    each slot from the two reservoirs proportionally to their stream
-    lengths — the standard distributed-reservoir approximation.
-    Randomness comes from a seeded generator, so a fixed shard plan
-    produces a fixed sample.
-    """
-
-    __slots__ = ("capacity", "items", "count", "_rng")
-
-    def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.items: List[float] = []
-        self.count = 0
-        self._rng = random.Random(seed)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if len(self.items) < self.capacity:
-            self.items.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.items[slot] = value
-
-    def merge(self, other: "ReservoirSample") -> "ReservoirSample":
-        if other.capacity != self.capacity:
-            raise ValueError("cannot merge reservoirs of different capacity")
-        if not other.count:
-            return self
-        if self.count + other.count <= self.capacity:
-            self.items.extend(other.items)
-            self.count += other.count
-            return self
-        mine = list(self.items)
-        theirs = list(other.items)
-        merged: List[float] = []
-        weight_self, weight_other = self.count, other.count
-        while len(merged) < self.capacity and (mine or theirs):
-            total = weight_self + weight_other
-            take_self = mine and (
-                not theirs or self._rng.random() * total < weight_self
-            )
-            if take_self:
-                merged.append(mine.pop(self._rng.randrange(len(mine))))
-                weight_self = max(weight_self - 1, 0)
-            else:
-                merged.append(theirs.pop(self._rng.randrange(len(theirs))))
-                weight_other = max(weight_other - 1, 0)
-        self.items = merged
-        self.count += other.count
-        return self
-
-    def quantile(self, q: float) -> float:
-        """Sample quantile, ``q`` in [0, 1]."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not self.items:
-            raise ValueError("empty reservoir has no quantiles")
-        ordered = sorted(self.items)
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
-class CountMinSketch:
-    """Count–min frequency sketch (Cormode & Muthukrishnan 2005).
-
-    ``estimate`` never underestimates; it overestimates by at most
-    ``(e / width) * N`` with probability at least ``1 - e**-depth``.
-    Merging adds cell-wise, so a merged sketch equals the sketch of
-    the concatenated streams.
-    """
-
-    __slots__ = ("width", "depth", "rows", "total")
-
-    def __init__(self, width: int = 2048, depth: int = 4) -> None:
-        if width <= 0 or depth <= 0:
-            raise ValueError("width and depth must be positive")
-        self.width = width
-        self.depth = depth
-        self.rows: List[List[int]] = [[0] * width for _ in range(depth)]
-        self.total = 0
-
-    def _indexes(self, key: str) -> Iterable[int]:
-        for row in range(self.depth):
-            yield stable_hash64(key, salt=row.to_bytes(2, "big")) % self.width
-
-    def add(self, key: str, count: int = 1) -> None:
-        self.total += count
-        for row, index in enumerate(self._indexes(key)):
-            self.rows[row][index] += count
-
-    def estimate(self, key: str) -> int:
-        return min(
-            self.rows[row][index] for row, index in enumerate(self._indexes(key))
-        )
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        if (other.width, other.depth) != (self.width, self.depth):
-            raise ValueError("cannot merge count-min sketches of different shape")
-        for mine, theirs in zip(self.rows, other.rows):
-            for index, value in enumerate(theirs):
-                mine[index] += value
-        self.total += other.total
-        return self
-
-
-class TopK:
-    """Space-saving heavy hitters (Metwally et al. 2005), mergeable.
-
-    Keeps at most ``capacity`` monitored keys.  Any key whose true
-    count exceeds ``N / capacity`` is guaranteed monitored, and each
-    reported count overestimates the truth by at most the recorded
-    per-key ``error``.  Merging sums counts and errors over the key
-    union, then re-truncates to capacity (errors absorb the cut
-    counts), which preserves both guarantees.
-    """
-
-    __slots__ = ("capacity", "counts", "errors", "total")
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.counts: Dict[str, int] = {}
-        self.errors: Dict[str, int] = {}
-        self.total = 0
-
-    def add(self, key: str, count: int = 1) -> None:
-        self.total += count
-        if key in self.counts:
-            self.counts[key] += count
-            return
-        if len(self.counts) < self.capacity:
-            self.counts[key] = count
-            self.errors[key] = 0
-            return
-        victim = min(self.counts, key=lambda k: (self.counts[k], k))
-        floor = self.counts.pop(victim)
-        self.errors.pop(victim)
-        self.counts[key] = floor + count
-        self.errors[key] = floor
-
-    def merge(self, other: "TopK") -> "TopK":
-        if other.capacity != self.capacity:
-            raise ValueError("cannot merge TopK summaries of different capacity")
-        for key, count in other.counts.items():
-            if key in self.counts:
-                self.counts[key] += count
-                self.errors[key] += other.errors[key]
-            else:
-                self.counts[key] = count
-                self.errors[key] = other.errors[key]
-        self.total += other.total
-        if len(self.counts) > self.capacity:
-            ranked = sorted(
-                self.counts, key=lambda k: (-self.counts[k], k)
-            )
-            for key in ranked[self.capacity:]:
-                self.counts.pop(key)
-                self.errors.pop(key)
-        return self
-
-    def top(self, count: int = 10) -> List[Tuple[str, int]]:
-        ranked = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:count]

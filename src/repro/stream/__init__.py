@@ -21,9 +21,12 @@ mergeable states into continuously maintained per-window results:
   cross-window drift deltas, emitted as JSONL;
 * :mod:`repro.stream.service` — the assembled service, checkpointing
   every sealed window through :mod:`repro.engine.checkpoint` so a
-  killed stream resumes at the first unsealed window;
-* :mod:`repro.stream.characterizer` — the lightweight tumbling
-  counter series (formerly ``repro.analysis.streaming``).
+  killed stream resumes at the first unsealed window.
+
+The ``windows`` CLI subcommand is this service on tumbling windows
+with only the characterization track and no per-window detection:
+one windowed path serves both the time-series table and the full
+stream.
 
 See ``docs/streaming.md`` for the windowing model and the
 resume-from-checkpoint walkthrough.
@@ -38,7 +41,6 @@ from .accumulators import (
     merged_pattern_report,
     merged_periodicity,
 )
-from .characterizer import WindowStats, WindowedCharacterizer
 from .ingest import IngestStage, IngestStats
 from .service import StreamConfig, StreamResult, StreamService, window_id
 from .snapshots import JsonlEmitter, SnapshotBuilder, WindowSnapshot
@@ -67,8 +69,6 @@ __all__ = [
     "WindowManager",
     "WindowSnapshot",
     "WindowSpec",
-    "WindowStats",
-    "WindowedCharacterizer",
     "directory_sources",
     "file_source",
     "iterable_source",

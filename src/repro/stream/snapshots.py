@@ -40,12 +40,13 @@ class WindowSnapshot:
 
     window_start: float
     window_end: float
-    records: int
-    json_requests: int
-    json_share: float
-    get_share: float
-    uncacheable_share: float
-    unique_clients: int
+    records: int = 0
+    json_requests: int = 0
+    html_requests: int = 0
+    json_share: float = 0.0
+    get_share: float = 0.0
+    uncacheable_share: float = 0.0
+    unique_clients: int = 0
     non_browser_share: float = 0.0
     #: JSON response-size statistics; ``None`` when the window saw no
     #: JSON traffic (undefined, not zero — see repro.analysis.drift).
@@ -70,6 +71,7 @@ class WindowSnapshot:
             "window_end": self.window_end,
             "records": self.records,
             "json_requests": self.json_requests,
+            "html_requests": self.html_requests,
             "json_share": round(self.json_share, 6),
             "get_share": round(self.get_share, 6),
             "uncacheable_share": round(self.uncacheable_share, 6),
@@ -98,6 +100,14 @@ class WindowSnapshot:
             "drift": self.drift,
             "late_dropped": self.late_dropped,
         }
+
+    @property
+    def json_html_ratio(self) -> float:
+        """JSON:HTML request ratio (Figure 1 as a time series);
+        ``inf`` for a window with JSON but no HTML traffic."""
+        if self.html_requests == 0:
+            return float("inf") if self.json_requests else 0.0
+        return self.json_requests / self.html_requests
 
     @property
     def metrics(self) -> Dict[str, Optional[float]]:
@@ -154,11 +164,6 @@ class SnapshotBuilder:
             window_start=accumulator.window_start,
             window_end=accumulator.window_end,
             records=accumulator.record_count,
-            json_requests=0,
-            json_share=0.0,
-            get_share=0.0,
-            uncacheable_share=0.0,
-            unique_clients=0,
             late_dropped=late_dropped,
         )
         state = accumulator.characterization
@@ -167,6 +172,7 @@ class SnapshotBuilder:
             total = summary.total_logs
             json_requests = summary.content_types.get("application/json", 0)
             snapshot.json_requests = json_requests
+            snapshot.html_requests = summary.content_types.get("text/html", 0)
             snapshot.json_share = json_requests / total if total else 0.0
             snapshot.get_share = (
                 summary.methods.get("GET", 0) / total if total else 0.0

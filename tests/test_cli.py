@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.logs.io import write_logs
+from repro.logs.record import CacheStatus, HttpMethod
+from tests.conftest import make_log
 
 
 class TestParser:
@@ -173,6 +176,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Traffic time series" in out
         assert "json:html" in out
+        # Every data column, pinned: the windowed path's exact output.
+        assert [row[1:] for row in windows_rows(out)] == [
+            ["569", "49.9%", "2.99", "89.8%", "53.2%", "61"],
+            ["629", "59.5%", "4.40", "91.1%", "56.1%", "75"],
+            ["785", "67.1%", "6.13", "89.0%", "63.0%", "85"],
+            ["756", "55.2%", "3.69", "91.3%", "54.9%", "77"],
+            ["717", "56.1%", "3.83", "90.2%", "52.7%", "77"],
+        ]
 
     def test_validate_command(self, capsys):
         assert main(["validate", "--requests", "6000", "--seed", "0"]) == 0
@@ -275,3 +286,65 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ngram results identical to serial: True" in out
         assert "characterization" not in out
+
+
+def windows_rows(out):
+    """The ``windows`` table's rows, one list of cells per window."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    return [line.split() for line in lines[start + 1:] if line.strip()]
+
+
+class TestWindowsCommand:
+    def run_windows(self, argv, capsys):
+        assert main(argv) == 0
+        return windows_rows(capsys.readouterr().out)
+
+    def write_stream(self, tmp_path, timestamps, overrides=None):
+        overrides = overrides or {}
+        path = tmp_path / "logs.jsonl"
+        write_logs(
+            [make_log(timestamp=ts, **overrides.get(ts, {})) for ts in timestamps],
+            path,
+        )
+        return str(path)
+
+    def test_labels_count_from_first_window_start(self, capsys):
+        # Windows align to multiples of the width, so the first window
+        # starts at or before the first record: its offset is +0s.
+        rows = self.run_windows(
+            ["windows", "--requests", "2000", "--seed", "5", "--window", "120"],
+            capsys,
+        )
+        assert [row[0] for row in rows] == [
+            "+0s", "+120s", "+240s", "+360s", "+480s"
+        ]
+
+    def test_gap_stream_prints_zero_row(self, tmp_path, capsys):
+        logs = self.write_stream(
+            tmp_path,
+            [10.0, 20.0, 30.0, 70.0, 200.0],
+            {
+                20.0: dict(mime_type="text/html"),
+                30.0: dict(
+                    method=HttpMethod.POST,
+                    request_bytes=10,
+                    cache_status=CacheStatus.NO_STORE,
+                    ttl_seconds=None,
+                ),
+            },
+        )
+        rows = self.run_windows(
+            ["windows", "--logs", logs, "--window", "60"], capsys
+        )
+        assert [row[1:] for row in rows] == [
+            ["3", "66.7%", "2.00", "66.7%", "50.0%", "1"],
+            ["1", "100.0%", "inf", "100.0%", "0.0%", "1"],
+            ["0", "0.0%", "0.00", "0.0%", "0.0%", "0"],
+            ["1", "100.0%", "inf", "100.0%", "0.0%", "1"],
+        ]
+
+    def test_out_of_order_file_refused(self, tmp_path):
+        logs = self.write_stream(tmp_path, [100.0, 10.0])
+        with pytest.raises(ValueError, match="time-ordered"):
+            main(["windows", "--logs", logs, "--window", "60"])

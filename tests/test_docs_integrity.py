@@ -17,6 +17,29 @@ def read(name: str) -> str:
     return (REPO / name).read_text(encoding="utf-8")
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.C.d`` names a module or an attribute chain
+    hanging off the longest importable module prefix."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def unresolved_names(text: str) -> set:
+    """Backticked dotted ``repro.…`` names in ``text`` that do not resolve."""
+    names = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
+    return {name for name in names if not resolves(name)}
+
+
 class TestReadme:
     def test_referenced_docs_exist(self):
         for name in ("DESIGN.md", "EXPERIMENTS.md"):
@@ -51,6 +74,9 @@ class TestReadme:
         for command in re.findall(r"repro-json-cdn ([\w-]+)", readme):
             assert command in subactions.choices, command
 
+    def test_module_references_resolve(self):
+        assert unresolved_names(read("README.md")) == set()
+
     def test_quickstart_snippet_runs(self):
         """The README's quickstart code block must execute as written."""
         readme = read("README.md")
@@ -66,6 +92,9 @@ class TestExperimentsDoc:
         for reference in set(re.findall(r"`(benchmarks/\w+\.py)", experiments)):
             assert (REPO / reference).is_file(), reference
 
+    def test_module_references_resolve(self):
+        assert unresolved_names(read("EXPERIMENTS.md")) == set()
+
     def test_covers_every_figure_and_table(self):
         experiments = read("EXPERIMENTS.md")
         for artifact in ("Figure 1", "Table 2", "Figure 3", "Figure 4",
@@ -78,6 +107,9 @@ class TestDesignDoc:
         design = read("DESIGN.md")
         for reference in set(re.findall(r"`(benchmarks/\w+\.py)", design)):
             assert (REPO / reference).is_file(), reference
+
+    def test_module_references_resolve(self):
+        assert unresolved_names(read("DESIGN.md")) == set()
 
     def test_mismatch_banner_absent(self):
         """DESIGN must not carry the title-collision warning (the
@@ -93,12 +125,7 @@ class TestDocsDirectory:
             assert (REPO / "docs" / name).is_file(), name
 
     def test_module_references_resolve(self):
-        """Every `repro.pkg.name` in the docs is a module or attribute."""
-        for path in (REPO / "docs").glob("*.md"):
+        """Every `repro.…` name in the docs is a module or attribute."""
+        for path in sorted((REPO / "docs").glob("*.md")):
             text = path.read_text(encoding="utf-8")
-            for package, name in set(re.findall(r"`repro\.(\w+)\.(\w+)`", text)):
-                module = importlib.import_module(f"repro.{package}")
-                try:
-                    importlib.import_module(f"repro.{package}.{name}")
-                except ModuleNotFoundError:
-                    assert hasattr(module, name), f"repro.{package}.{name}"
+            assert unresolved_names(text) == set(), path.name

@@ -13,12 +13,10 @@ These are property tests in the stdlib: a seeded ``random.Random``
 drives many trials of randomized stream splits, and states compare
 via their canonical (order-independent) projections.
 
-Exactness boundaries are part of the contract and are pinned here
-too: ``TopK`` is only split-invariant while its key set fits in
-capacity, and ``ReservoirSample`` only while the stream fits in the
-reservoir — the trials stay inside those regimes, and the states
-whose pipelines *require* exactness (flows, ngram, characterization
-counters) are exercised without any such caveat.
+Every state here merges exactly: the HyperLogLog by register-wise
+max, the pipeline states (flows, ngram, characterization counters)
+as counters, sets and multisets, so no trial needs a capacity or
+sample-size caveat.
 """
 
 from __future__ import annotations
@@ -30,13 +28,7 @@ import pytest
 
 from repro.engine.flowstate import FlowCollectionState, PeriodicityDetectionState
 from repro.engine.ngramstate import NgramEvalState, NgramSequenceState
-from repro.engine.sketches import (
-    CountMinSketch,
-    HyperLogLog,
-    ReservoirSample,
-    TopK,
-    UniqueCounter,
-)
+from repro.engine.sketches import HyperLogLog
 from repro.engine.state import CharacterizationState
 from repro.periodicity.flows import FlowFilter
 from repro.periodicity.results import ObjectPeriodicity
@@ -162,83 +154,6 @@ class TestHyperLogLogAlgebra(MergeAlgebra):
 
     def stream(self, rng):
         return [f"client-{rng.randrange(500)}" for _ in range(rng.randrange(5, 120))]
-
-
-class TestUniqueCounterAlgebra(MergeAlgebra):
-    def make(self):
-        return UniqueCounter(exact_threshold=1_000)
-
-    def ingest(self, state, item):
-        state.add(item)
-
-    def canonical(self, state):
-        if state.is_exact:
-            return ("exact", frozenset(state.exact))
-        return ("sketch", bytes(state.sketch.registers))
-
-    def stream(self, rng):
-        return [f"client-{rng.randrange(300)}" for _ in range(rng.randrange(5, 120))]
-
-
-class TestSpilledUniqueCounterAlgebra(TestUniqueCounterAlgebra):
-    """The hybrid counter past its exact threshold (sketch mode)."""
-
-    def make(self):
-        return UniqueCounter(exact_threshold=8, precision=10)
-
-
-class TestCountMinAlgebra(MergeAlgebra):
-    def make(self):
-        return CountMinSketch(width=64, depth=3)
-
-    def ingest(self, state, item):
-        key, count = item
-        state.add(key, count)
-
-    def canonical(self, state):
-        return (tuple(tuple(row) for row in state.rows), state.total)
-
-    def stream(self, rng):
-        return [
-            (f"url-{rng.randrange(50)}", rng.randrange(1, 6))
-            for _ in range(rng.randrange(5, 120))
-        ]
-
-
-class TestTopKAlgebra(MergeAlgebra):
-    """Exact while the key universe fits in capacity (it does here)."""
-
-    def make(self):
-        return TopK(capacity=64)
-
-    def ingest(self, state, item):
-        key, count = item
-        state.add(key, count)
-
-    def canonical(self, state):
-        return (dict(state.counts), dict(state.errors), state.total)
-
-    def stream(self, rng):
-        return [
-            (f"url-{rng.randrange(40)}", rng.randrange(1, 6))
-            for _ in range(rng.randrange(5, 120))
-        ]
-
-
-class TestReservoirAlgebra(MergeAlgebra):
-    """Exact (pure concatenation) while the stream fits the reservoir."""
-
-    def make(self):
-        return ReservoirSample(capacity=256, seed=0)
-
-    def ingest(self, state, item):
-        state.add(item)
-
-    def canonical(self, state):
-        return (sorted(state.items), state.count)
-
-    def stream(self, rng):
-        return [float(rng.randrange(10_000)) for _ in range(rng.randrange(5, 60))]
 
 
 # -- pipeline states ----------------------------------------------------------
@@ -393,22 +308,21 @@ class TestCharacterizationAlgebra(RecordAlgebra):
         state.ingest(record)
 
     def canonical(self, state):
-        # The exact counters plus the always-associative sketches.
-        # ``top_urls`` is excluded on purpose: the dataset's URL
-        # universe exceeds the TopK capacity, and past capacity the
-        # space-saving summary guarantees error *bounds*, not
-        # split-invariant bit-identity.  The reservoir stays exact
-        # here because the JSON stream fits in one reservoir.
+        # Everything ``to_report`` reads, plus the client HLL.  Sizes
+        # merge by concatenation, so shard order permutes the lists:
+        # compare each content type's size multiset.
         return (
             state.summary,
             state.traffic_source,
             state.request_type,
             state.cacheability,
             {domain: vars(stats) for domain, stats in state.domains.items()},
+            {
+                content_type: sorted(distribution.sizes)
+                for content_type, distribution in state.sizes.items()
+            },
+            state.apps,
             bytes(state.client_sketch.registers),
-            (sorted(state.json_size_sample.items), state.json_size_sample.count),
-            (tuple(tuple(row) for row in state.url_counts.rows), state.url_counts.total),
-            (dict(state.top_domains.counts), state.top_domains.total),
         )
 
 

@@ -1,17 +1,11 @@
 """Unit tests for repro.engine.sketches — accuracy and mergeability."""
 
 import pickle
+import random
 
 import pytest
 
-from repro.engine.sketches import (
-    CountMinSketch,
-    HyperLogLog,
-    ReservoirSample,
-    TopK,
-    UniqueCounter,
-    stable_hash64,
-)
+from repro.engine.sketches import HyperLogLog, stable_hash64
 
 
 class TestStableHash:
@@ -64,12 +58,6 @@ class TestHyperLogLog:
         with pytest.raises(ValueError):
             HyperLogLog(12).merge(HyperLogLog(14))
 
-    def test_round_trip_dict(self):
-        sketch = HyperLogLog()
-        sketch.update(f"item-{index}" for index in range(500))
-        clone = HyperLogLog.from_dict(sketch.to_dict())
-        assert clone.estimate() == sketch.estimate()
-
     def test_invalid_precision(self):
         with pytest.raises(ValueError):
             HyperLogLog(precision=2)
@@ -77,198 +65,25 @@ class TestHyperLogLog:
     def test_relative_error_bound(self):
         assert HyperLogLog(14).relative_error == pytest.approx(0.0081, abs=5e-4)
 
-
-class TestUniqueCounter:
-    def test_exact_below_threshold(self):
-        counter = UniqueCounter(exact_threshold=100)
-        for index in range(100):
-            counter.add(str(index))
-        assert counter.is_exact
-        assert len(counter) == 100
-        assert "5" in counter
-
-    def test_spills_above_threshold(self):
-        counter = UniqueCounter(exact_threshold=50)
-        for index in range(500):
-            counter.add(str(index))
-        assert not counter.is_exact
-        assert abs(len(counter) - 500) / 500 < 0.1
-
-    def test_membership_unavailable_after_spill(self):
-        counter = UniqueCounter(exact_threshold=2)
-        for index in range(10):
-            counter.add(str(index))
-        with pytest.raises(TypeError):
-            "1" in counter
-
-    def test_merge_exact_plus_exact(self):
-        a, b = UniqueCounter(1000), UniqueCounter(1000)
-        for index in range(40):
-            a.add(f"a-{index}")
-            b.add(f"b-{index}")
-        b.add("a-0")  # overlap
-        a.merge(b)
-        assert a.is_exact and len(a) == 80
-
-    def test_merge_spills_when_union_too_big(self):
-        a, b = UniqueCounter(50), UniqueCounter(50)
-        for index in range(40):
-            a.add(f"a-{index}")
-            b.add(f"b-{index}")
-        a.merge(b)
-        assert not a.is_exact
-        assert abs(len(a) - 80) / 80 < 0.15
-
-    def test_merge_mixed_modes(self):
-        spilled, exact = UniqueCounter(10), UniqueCounter(10_000)
-        for index in range(200):
-            spilled.add(f"s-{index}")
-        for index in range(5):
-            exact.add(f"e-{index}")
-        spilled.merge(exact)
-        assert not spilled.is_exact
-        assert abs(len(spilled) - 205) / 205 < 0.15
-
-
-class TestReservoirSample:
-    def test_keeps_everything_under_capacity(self):
-        sample = ReservoirSample(capacity=100)
-        for value in range(50):
-            sample.add(float(value))
-        assert sorted(sample.items) == [float(v) for v in range(50)]
-        assert sample.count == 50
-
-    def test_bounded_memory(self):
-        sample = ReservoirSample(capacity=64)
-        for value in range(10_000):
-            sample.add(float(value))
-        assert len(sample.items) == 64
-        assert sample.count == 10_000
-
-    def test_quantiles_approximate_uniform(self):
-        sample = ReservoirSample(capacity=2000, seed=7)
-        for value in range(100_000):
-            sample.add(float(value))
-        assert sample.quantile(0.5) == pytest.approx(50_000, rel=0.1)
-        assert sample.quantile(0.0) < sample.quantile(1.0)
-
-    def test_merge_count_and_capacity(self):
-        a, b = ReservoirSample(capacity=50, seed=1), ReservoirSample(capacity=50, seed=2)
-        for value in range(500):
-            a.add(float(value))
-            b.add(float(value + 500))
-        a.merge(b)
-        assert a.count == 1000
-        assert len(a.items) == 50
-
-    def test_merge_small_concatenates(self):
-        a, b = ReservoirSample(capacity=100), ReservoirSample(capacity=100)
-        a.add(1.0)
-        b.add(2.0)
-        a.merge(b)
-        assert sorted(a.items) == [1.0, 2.0]
-
-    def test_quantile_validation(self):
-        sample = ReservoirSample()
-        with pytest.raises(ValueError):
-            sample.quantile(0.5)  # empty
-        sample.add(1.0)
-        with pytest.raises(ValueError):
-            sample.quantile(1.5)
-
-
-class TestCountMinSketch:
-    def test_never_underestimates(self):
-        sketch = CountMinSketch(width=256, depth=4)
-        truth = {}
-        for index in range(2000):
-            key = f"key-{index % 100}"
-            sketch.add(key)
-            truth[key] = truth.get(key, 0) + 1
-        for key, count in truth.items():
-            assert sketch.estimate(key) >= count
-
-    def test_heavy_hitter_accurate(self):
-        sketch = CountMinSketch()
-        for _ in range(5000):
-            sketch.add("popular")
-        for index in range(1000):
-            sketch.add(f"rare-{index}")
-        assert sketch.estimate("popular") == pytest.approx(5000, rel=0.02)
-
-    def test_merge_equals_combined(self):
-        a, b, combined = CountMinSketch(), CountMinSketch(), CountMinSketch()
-        for index in range(1000):
-            key = f"key-{index % 37}"
-            (a if index % 2 else b).add(key)
-            combined.add(key)
-        a.merge(b)
-        assert a.rows == combined.rows
-        assert a.total == combined.total
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CountMinSketch(width=128).merge(CountMinSketch(width=256))
-
-
-class TestTopK:
-    def test_exact_when_under_capacity(self):
-        topk = TopK(capacity=100)
-        for index in range(10):
-            for _ in range(index + 1):
-                topk.add(f"key-{index}")
-        assert topk.top(1) == [("key-9", 10)]
-        assert dict(topk.top(10))["key-0"] == 1
-
-    def test_heavy_hitter_survives_eviction(self):
-        topk = TopK(capacity=10)
-        for _ in range(1000):
-            topk.add("heavy")
-        for index in range(500):
-            topk.add(f"light-{index}")
-        keys = [key for key, _ in topk.top(10)]
-        assert "heavy" in keys
-
-    def test_capacity_respected(self):
-        topk = TopK(capacity=5)
-        for index in range(100):
-            topk.add(f"key-{index}")
-        assert len(topk.counts) == 5
-
-    def test_merge_sums_counts(self):
-        a, b = TopK(capacity=50), TopK(capacity=50)
-        for _ in range(10):
-            a.add("shared")
-        for _ in range(15):
-            b.add("shared")
-        a.merge(b)
-        assert dict(a.top(1))["shared"] == 25
-        assert a.total == 25
-
-    def test_merge_retruncates(self):
-        a, b = TopK(capacity=4), TopK(capacity=4)
-        for index in range(4):
-            for _ in range(index + 1):
-                a.add(f"a-{index}")
-                b.add(f"b-{index}")
-        a.merge(b)
-        assert len(a.counts) == 4
+    @pytest.mark.parametrize("precision", [10, 12, 14])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimate_within_five_standard_errors(self, precision, seed):
+        """The documented bound: error is ~``relative_error`` per σ, so
+        5σ holds for every fixed-seed distinct set here (worst: 3.0σ)."""
+        rng = random.Random(seed)
+        for n in (1_000, 10_000, 50_000):
+            items = set()
+            while len(items) < n:
+                items.add(f"{rng.getrandbits(64):016x}")
+            sketch = HyperLogLog(precision).update(items)
+            assert abs(sketch.estimate() - n) <= 5 * sketch.relative_error * n
 
 
 class TestPickling:
     def test_sketches_pickle_round_trip(self):
         hll = HyperLogLog()
-        hll.add("x")
-        reservoir = ReservoirSample()
-        reservoir.add(1.0)
-        cms = CountMinSketch()
-        cms.add("x")
-        topk = TopK()
-        topk.add("x")
-        unique = UniqueCounter(exact_threshold=1)
-        unique.add("a")
-        unique.add("b")
-        for sketch in (hll, reservoir, cms, topk, unique):
-            clone = pickle.loads(pickle.dumps(sketch))
-            assert type(clone) is type(sketch)
-        assert pickle.loads(pickle.dumps(hll)).estimate() == hll.estimate()
+        hll.update(f"item-{index}" for index in range(500))
+        clone = pickle.loads(pickle.dumps(hll))
+        assert type(clone) is HyperLogLog
+        assert bytes(clone.registers) == bytes(hll.registers)
+        assert clone.estimate() == hll.estimate()

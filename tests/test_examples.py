@@ -1,11 +1,12 @@
 """Smoke tests: the shipped examples must run clean end to end.
 
-The slowest examples (prefetch_cdn, traffic_monitoring) are exercised
-at reduced scale by the benchmarks that cover the same code paths;
-here we run the fast ones as real subprocesses so import errors, API
-drift, or output regressions in `examples/` fail the suite.
+The slowest example (prefetch_cdn) is exercised at reduced scale by
+the benchmarks that cover the same code paths; here we run the rest
+as real subprocesses so import errors, API drift, or output
+regressions in `examples/` fail the suite.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,22 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "purge issued" in result.stdout
         assert "THUNDERING HERD" in result.stdout
+
+    def test_traffic_monitoring(self):
+        result = run_example("traffic_monitoring.py")
+        assert result.returncode == 0, result.stderr
+        rows = [
+            line.split()
+            for line in result.stdout.splitlines()
+            if re.match(r"\s*\d+h ", line)
+        ]
+        # 3 h windows over the day, labelled from the first window's
+        # start; the request counts pin the windowed path's output.
+        assert [row[0] for row in rows] == [f"{h}h" for h in range(0, 24, 3)]
+        assert [row[1] for row in rows] == [
+            "5,606", "3,615", "3,002", "3,421",
+            "4,781", "6,223", "7,713", "6,693",
+        ]
+        assert "stable intended periods" in result.stdout
+        assert "ALERT" in result.stdout
+        assert "scanner flow anomaly rate" in result.stdout

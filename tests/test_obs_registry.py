@@ -1,10 +1,13 @@
 """Unit tests for repro.obs: sketch, registry, runtime, spans, export."""
 
 import json
+import math
 import pickle
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import runtime
@@ -42,6 +45,23 @@ class TestQuantileSketch:
             assert sketch.quantile(q) == pytest.approx(
                 exact, rel=sketch.growth - 1.0 + 1e-9
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=1e-5, max_value=1e9), min_size=1, max_size=300
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_quantile_error_bound_property(self, values, q):
+        """Documented bound: for positive values above ``min_value``,
+        ``quantile(q)`` is within relative ``growth - 1`` of the
+        order statistic at rank ``floor(q * (n - 1))``."""
+        sketch = QuantileSketch().update(values)
+        exact = sorted(values)[math.floor(q * (len(values) - 1))]
+        assert sketch.quantile(q) == pytest.approx(
+            exact, rel=sketch.growth - 1.0 + 1e-9
+        )
 
     def test_nonpositive_values_counted_not_crashed(self):
         sketch = QuantileSketch().update([-1.0, 0.0, 1.0])

@@ -9,10 +9,12 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.pipeline import run_characterization, run_stream
+from repro.logs.record import CacheStatus, HttpMethod
 from repro.stream import (
     JsonlEmitter,
     StreamConfig,
     StreamService,
+    WindowSnapshot,
     iterable_source,
     merge_accumulators,
     merged_characterization,
@@ -141,6 +143,110 @@ class TestSnapshotsAndEmission:
         assert window_id((0.0, 60.0)) != window_id((60.0, 120.0))
 
 
+def characterization_windows(logs, window_s=60.0):
+    """Snapshots of the characterization-only tumbling path that the
+    ``windows`` command prints."""
+    return run_stream(
+        logs,
+        window_s=window_s,
+        tracks=("characterization",),
+        detect_periods=False,
+        predict_urls=False,
+    ).snapshots
+
+
+def mixed_stream():
+    """Three records in [0, 60) (JSON GET, HTML GET, uncacheable JSON
+    POST), one in [60, 120), none in [120, 180), one in [180, 240)."""
+    return [
+        make_log(timestamp=10.0),
+        make_log(timestamp=20.0, mime_type="text/html"),
+        make_log(
+            timestamp=30.0,
+            method=HttpMethod.POST,
+            request_bytes=10,
+            cache_status=CacheStatus.NO_STORE,
+            ttl_seconds=None,
+        ),
+        make_log(timestamp=70.0),
+        make_log(timestamp=200.0),
+    ]
+
+
+class TestWindowSnapshot:
+    def test_window_boundaries(self):
+        windows = characterization_windows(mixed_stream())
+        # Aligned to multiples of the width; the empty window seals
+        # nothing (the ``windows`` command fills it with a zero row).
+        assert [(w.window_start, w.window_end) for w in windows] == [
+            (0.0, 60.0), (60.0, 120.0), (180.0, 240.0)
+        ]
+
+    def test_counts_per_window(self):
+        windows = characterization_windows(mixed_stream())
+        assert [w.records for w in windows] == [3, 1, 1]
+
+    def test_empty_stream(self):
+        assert characterization_windows([]) == []
+
+    def test_invalid_window_width(self):
+        with pytest.raises(ValueError, match="window_s"):
+            characterization_windows(mixed_stream(), window_s=0.0)
+
+    def test_json_share(self):
+        first = characterization_windows(mixed_stream())[0]
+        assert first.json_share == pytest.approx(2 / 3)
+
+    def test_get_share(self):
+        first = characterization_windows(mixed_stream())[0]
+        assert first.get_share == pytest.approx(2 / 3)
+
+    def test_uncacheable_share_of_json(self):
+        first = characterization_windows(mixed_stream())[0]
+        assert first.uncacheable_share == pytest.approx(1 / 2)
+
+    def test_device_shares(self):
+        first = characterization_windows(mixed_stream())[0]
+        assert first.device_shares["mobile"] == pytest.approx(1.0)
+
+    def test_client_count(self):
+        first = characterization_windows(mixed_stream())[0]
+        assert first.unique_clients == 1
+
+    def test_json_html_ratio(self):
+        windows = characterization_windows(mixed_stream())
+        assert (windows[0].json_requests, windows[0].html_requests) == (2, 1)
+        assert windows[0].json_html_ratio == pytest.approx(2.0)
+        # An empty window reads 0.
+        assert WindowSnapshot(120.0, 180.0).json_html_ratio == 0.0
+
+    def test_ratio_with_no_html(self):
+        # JSON but no HTML: unbounded ratio.
+        second = characterization_windows(mixed_stream())[1]
+        assert second.html_requests == 0
+        assert second.json_html_ratio == float("inf")
+
+    def test_on_synthetic_dataset(self, short_dataset):
+        windows = characterization_windows(short_dataset.logs, 120.0)
+        # 600s dataset → 5 windows of 120s.
+        assert 4 <= len(windows) <= 6
+        busy = [w for w in windows if w.records > 100]
+        assert busy
+        for window in busy:
+            assert 0.5 < window.json_share <= 1.0
+            assert window.unique_clients > 10
+
+    def test_diurnal_visible_in_long_dataset(self, long_dataset):
+        volumes = [
+            w.records
+            for w in characterization_windows(long_dataset.logs, 3600.0)
+        ]
+        assert len(volumes) >= 23
+        # The diurnal curve makes the busiest hour much busier than
+        # the quietest.
+        assert max(volumes) > 1.5 * (min(volumes) + 1)
+
+
 class FailAfter:
     """Source that dies mid-stream: simulates a killed process."""
 
@@ -217,24 +323,6 @@ class TestCheckpointResume:
         service.replay(minute_logs(120))
         assert service.store is None
         assert service.load_sealed_accumulators() == []
-
-
-class TestDeprecatedStreamingShim:
-    def test_old_import_path_warns_but_works(self):
-        import repro.analysis.streaming as old
-
-        with pytest.warns(DeprecationWarning, match="repro.stream"):
-            characterizer = old.WindowedCharacterizer(window_s=60.0)
-        from repro.stream import WindowedCharacterizer
-
-        assert isinstance(characterizer, WindowedCharacterizer)
-
-    def test_package_reexport_does_not_warn(self, recwarn):
-        from repro.analysis import WindowedCharacterizer  # noqa: F401
-
-        assert not [
-            w for w in recwarn if w.category is DeprecationWarning
-        ]
 
 
 class TestCli:
