@@ -22,6 +22,7 @@ from repro import obs
 from repro.core.pipeline import run_characterization_parallel, run_stream
 from repro.obs import runtime
 from repro.obs.registry import MetricsRegistry
+from repro.stream import StreamConfig
 from repro.synth.workload import WorkloadBuilder, short_term_config
 
 OBS_BENCH_SEED = 2019
@@ -108,7 +109,10 @@ def test_perf_obs_stream_overhead():
 
     def run():
         run_stream(
-            logs, window_s=120.0, detect_periods=False, predict_urls=False
+            logs,
+            config=StreamConfig(
+                window_s=120.0, detect_periods=False, predict_urls=False
+            ),
         )
 
     def run_instrumented():

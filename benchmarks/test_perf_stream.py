@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.pipeline import run_stream
 from repro.logs.partition import write_partitioned
-from repro.stream import merge_accumulators, merged_characterization
+from repro.stream import StreamConfig, merge_accumulators, merged_characterization
 from repro.synth.workload import WorkloadBuilder, short_term_config
 
 STREAM_BENCH_SEED = 2019
@@ -52,16 +52,16 @@ def partitioned_dir(dataset, tmp_path_factory):
     return str(root)
 
 
-def _timed_run(**kwargs):
+def _timed_run(ingest_workers=1, **source):
     start = time.perf_counter()
-    result = run_stream(
+    config = StreamConfig(
         window_s=WINDOW_S,
         watermark_lag_s=WATERMARK_LAG_S,
         detect_periods=False,  # measure the pipeline, not the detector
         predict_urls=False,
-        keep_accumulators=True,
-        **kwargs,
+        ingest_workers=ingest_workers,
     )
+    result = run_stream(config=config, keep_accumulators=True, **source)
     return result, time.perf_counter() - start
 
 
@@ -121,7 +121,7 @@ def test_perf_stream_ingest_throughput(dataset, partitioned_dir):
 
 def test_perf_stream_backpressure_is_bounded(dataset):
     """A tiny queue throttles ingest without losing a record."""
-    from repro.stream import StreamConfig, StreamService
+    from repro.stream import StreamService
 
     logs = dataset.logs
     config = StreamConfig(

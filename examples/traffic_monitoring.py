@@ -19,6 +19,7 @@ import numpy as np
 from repro.anomaly import PeriodicAnomalyMonitor, SequenceAnomalyDetector
 from repro.core.pipeline import run_stream
 from repro.logs.record import HttpMethod, RequestLog
+from repro.stream import StreamConfig
 from repro.synth import WorkloadBuilder, long_term_config
 
 
@@ -30,9 +31,9 @@ def main() -> None:
     logs = dataset.logs
 
     # -- 1. 3-hourly traffic time series ---------------------------------
-    windows = run_stream(logs, window_s=3 * 3600.0,
-                         tracks=("characterization",),
-                         detect_periods=False, predict_urls=False).snapshots
+    windows = run_stream(logs, config=StreamConfig(
+        window_s=3 * 3600.0, tracks=("characterization",),
+        detect_periods=False, predict_urls=False)).snapshots
     print(f"{'window':>8s} {'requests':>9s} {'json':>7s} {'no-store':>9s} "
           f"{'clients':>8s}")
     for window in windows:

@@ -81,8 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_dataset_args(
-        p: argparse.ArgumentParser, engine: bool = False
+        p: argparse.ArgumentParser, inputs: bool = False, engine: bool = False
     ) -> None:
+        """Dataset flags; ``inputs`` adds the partitioned-directory,
+        lenient-read and obs flags, ``engine`` (which implies them) the
+        sharded-engine flags."""
         p.add_argument(
             "--dataset",
             choices=("short", "long"),
@@ -94,12 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--logs", metavar="FILE",
                        help="read logs from FILE instead of generating")
-        if engine:
+        if inputs or engine:
             p.add_argument(
                 "--logs-dir", metavar="DIR",
                 help="read logs from a partitioned directory "
                      "(repro.logs.partition layout) instead of generating",
             )
+            p.add_argument(
+                "--lenient", action="store_true",
+                help="skip (and count) malformed log lines instead of "
+                     "failing the read",
+            )
+            add_obs_args(p)
+        if engine:
             p.add_argument(
                 "--workers", type=int, default=1,
                 help="worker count for the sharded analysis engine "
@@ -116,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="extra attempts per failed or timed-out shard, "
                      "with exponential backoff",
             )
-            p.add_argument(
-                "--lenient", action="store_true",
-                help="skip (and count) malformed log lines instead of "
-                     "failing the read",
-            )
-            add_obs_args(p)
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     add_dataset_args(gen)
@@ -172,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     windows = sub.add_parser(
         "windows", help="windowed (streaming) traffic time series"
     )
-    add_dataset_args(windows, engine=True)
+    add_dataset_args(windows, inputs=True)
     windows.add_argument("--window", type=float, default=300.0,
                          help="tumbling window width in seconds")
 
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="what-if TTL sweep: replay a JSON trace under alternative policies",
     )
-    add_dataset_args(replay, engine=True)
+    add_dataset_args(replay, inputs=True)
     replay.add_argument(
         "--ttls",
         default="30,300,3600",
@@ -308,8 +312,8 @@ def _build_dataset(args: argparse.Namespace):
 
 
 def _load_or_generate(args: argparse.Namespace):
-    on_error = "skip" if getattr(args, "lenient", False) else "raise"
-    if getattr(args, "logs_dir", None):
+    on_error = "skip" if args.lenient else "raise"
+    if args.logs_dir:
         from .logs.partition import read_partitioned
 
         return list(read_partitioned(args.logs_dir, on_error=on_error)), None
@@ -321,12 +325,28 @@ def _load_or_generate(args: argparse.Namespace):
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """The hardening knobs every engine-backed command forwards."""
+    """The settings every engine-backed command forwards."""
     return dict(
-        shard_timeout_s=getattr(args, "shard_timeout", None),
-        retries=getattr(args, "retries", 0),
-        lenient=getattr(args, "lenient", False),
+        workers=args.workers,
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+        shard_timeout_s=args.shard_timeout,
+        retries=args.retries,
+        lenient=args.lenient,
     )
+
+
+def _engine_source(args: argparse.Namespace):
+    """An engine command's input as ``run_*_parallel`` keywords, plus
+    domain categories.
+
+    A partitioned directory goes to the engine as ``logs_dir`` so its
+    shards stream their own files and nothing materializes up front;
+    any other input is loaded (or generated) in memory.
+    """
+    if args.logs_dir:
+        return {"logs_dir": args.logs_dir}, None
+    logs, categories = _load_or_generate(args)
+    return {"logs": logs}, categories
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -337,26 +357,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    workers = getattr(args, "workers", 1)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if getattr(args, "logs_dir", None) and (workers > 1 or checkpoint_dir):
-        # Engine path straight off the partitioned directory: shards
-        # stream their own files, nothing materializes up front.
+    if args.workers > 1 or args.checkpoint_dir:
+        source, categories = _engine_source(args)
         report = run_characterization_parallel(
-            logs_dir=args.logs_dir,
-            workers=workers,
-            checkpoint_dir=checkpoint_dir,
-            **_engine_kwargs(args),
+            domain_categories=categories, **source, **_engine_kwargs(args)
         )
     else:
-        logs, categories = _load_or_generate(args)
-        if workers > 1 or checkpoint_dir:
-            report = run_characterization_parallel(
-                logs, categories, workers=workers,
-                checkpoint_dir=checkpoint_dir, **_engine_kwargs(args),
-            )
-        else:
-            report = run_characterization(logs, categories)
+        report = run_characterization(*_load_or_generate(args))
     print(report.render(args.dataset))
     return 0
 
@@ -365,26 +372,11 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     from .periodicity.detector import DetectorConfig
 
     detector_config = DetectorConfig(permutations=args.permutations)
-    workers = getattr(args, "workers", 1)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if workers > 1 or checkpoint_dir:
-        if getattr(args, "logs_dir", None):
-            report = run_pattern_analysis_parallel(
-                logs_dir=args.logs_dir,
-                detector_config=detector_config,
-                workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                **_engine_kwargs(args),
-            )
-        else:
-            logs, _ = _load_or_generate(args)
-            report = run_pattern_analysis_parallel(
-                logs,
-                detector_config=detector_config,
-                workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                **_engine_kwargs(args),
-            )
+    if args.workers > 1 or args.checkpoint_dir:
+        source, _ = _engine_source(args)
+        report = run_pattern_analysis_parallel(
+            detector_config=detector_config, **source, **_engine_kwargs(args)
+        )
     else:
         logs, _ = _load_or_generate(args)
         report = run_pattern_analysis(logs, detector_config=detector_config)
@@ -395,34 +387,21 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 def _cmd_periodicity(args: argparse.Namespace) -> int:
     from .periodicity.detector import DetectorConfig
 
-    detector_config = DetectorConfig(permutations=args.permutations)
-    kwargs = dict(
-        detector_config=detector_config,
-        workers=getattr(args, "workers", 1),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+    source, _ = _engine_source(args)
+    report = run_periodicity_parallel(
+        detector_config=DetectorConfig(permutations=args.permutations),
+        **source,
         **_engine_kwargs(args),
     )
-    if getattr(args, "logs_dir", None):
-        report = run_periodicity_parallel(logs_dir=args.logs_dir, **kwargs)
-    else:
-        logs, _ = _load_or_generate(args)
-        report = run_periodicity_parallel(logs, **kwargs)
     print(render_periodicity(report))
     return 0
 
 
 def _cmd_ngram(args: argparse.Namespace) -> int:
-    kwargs = dict(
-        ns=tuple(range(1, args.order + 1)),
-        workers=getattr(args, "workers", 1),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        **_engine_kwargs(args),
+    source, _ = _engine_source(args)
+    results = run_ngram_parallel(
+        ns=tuple(range(1, args.order + 1)), **source, **_engine_kwargs(args)
     )
-    if getattr(args, "logs_dir", None):
-        results = run_ngram_parallel(logs_dir=args.logs_dir, **kwargs)
-    else:
-        logs, _ = _load_or_generate(args)
-        results = run_ngram_parallel(logs, **kwargs)
     print(render_ngram(results))
     return 0
 
@@ -450,15 +429,17 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 def _cmd_windows(args: argparse.Namespace) -> int:
     from .core.pipeline import run_stream
     from .core.report import render_table
-    from .stream import WindowSnapshot
+    from .stream import StreamConfig, WindowSnapshot
 
     logs, _ = _load_or_generate(args)
     result = run_stream(
         logs,
-        window_s=args.window,
-        tracks=("characterization",),
-        detect_periods=False,
-        predict_urls=False,
+        config=StreamConfig(
+            window_s=args.window,
+            tracks=("characterization",),
+            detect_periods=False,
+            predict_urls=False,
+        ),
     )
     # With no watermark lag, a late record is one older than a window
     # that already closed: the input is out of time order.
@@ -505,16 +486,21 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .core.pipeline import run_stream
     from .core.report import render_table
     from .periodicity.detector import DetectorConfig
-    from .stream import JsonlEmitter, file_source, stdin_source, tail_source
+    from .stream import (
+        JsonlEmitter,
+        StreamConfig,
+        file_source,
+        stdin_source,
+        tail_source,
+    )
 
     if args.ingest_workers < 1:
         raise SystemExit("--ingest-workers must be >= 1")
-    detector_config = DetectorConfig(permutations=args.permutations)
-    kwargs = dict(
+    config = StreamConfig(
         window_s=args.window,
         slide_s=args.slide,
         watermark_lag_s=args.watermark,
-        detector_config=detector_config,
+        detector_config=DetectorConfig(permutations=args.permutations),
         detect_periods=not args.no_periods,
         predict_urls=not args.no_predictions,
         top_k=args.top_k,
@@ -534,16 +520,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 args.follow,
                 idle_polls=args.idle_polls if args.idle_polls else None,
             )
-            result = run_stream(source, emit=emitter, **kwargs)
+            result = run_stream(source, config=config, emit=emitter)
         elif args.stdin:
-            result = run_stream(stdin_source(), emit=emitter, **kwargs)
-        elif getattr(args, "logs_dir", None):
-            result = run_stream(logs_dir=args.logs_dir, emit=emitter, **kwargs)
+            result = run_stream(stdin_source(), config=config, emit=emitter)
+        elif args.logs_dir:
+            result = run_stream(logs_dir=args.logs_dir, config=config, emit=emitter)
         elif args.logs:
-            result = run_stream(file_source(args.logs), emit=emitter, **kwargs)
+            result = run_stream(file_source(args.logs), config=config, emit=emitter)
         else:
             dataset = _build_dataset(args)
-            result = run_stream(dataset.logs, emit=emitter, **kwargs)
+            result = run_stream(dataset.logs, config=config, emit=emitter)
     finally:
         if emitter is not None and args.emit != "-":
             emitter.close()
@@ -603,9 +589,10 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     _cmd_trend(args)
     print()
     logs, categories = _load_or_generate(args)
-    workers = getattr(args, "workers", 1)
-    if workers > 1:
-        report = run_characterization_parallel(logs, categories, workers=workers)
+    if args.workers > 1:
+        report = run_characterization_parallel(
+            logs, categories, **_engine_kwargs(args)
+        )
     else:
         report = run_characterization(logs, categories)
     print(report.render(args.dataset))
@@ -619,7 +606,7 @@ def _bench_characterization(args, logs, categories):
     import time
 
     from .core.pipeline import _characterize_shard
-    from .engine.executor import run_shards
+    from .engine.executor import ShardExecutor
     from .engine.shard import plan_directory_shards, plan_memory_shards
 
     if getattr(args, "logs_dir", None):
@@ -632,9 +619,9 @@ def _bench_characterization(args, logs, categories):
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    state, stats = run_shards(
-        shards, _characterize_shard, workers=args.workers, backend=args.backend
-    )
+    state, stats = ShardExecutor(
+        workers=args.workers, backend=args.backend
+    ).run(shards, _characterize_shard)
     parallel_s = time.perf_counter() - started
     parallel = state.to_report(categories)
 

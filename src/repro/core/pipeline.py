@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.cacheability import (
     CacheabilityHeatmap,
@@ -58,6 +58,9 @@ from ..periodicity.detector import DetectorConfig
 from ..periodicity.flows import FlowFilter
 from ..periodicity.results import PeriodicityReport, analyze_logs
 from .report import format_pct, render_bar_chart, render_heatmap, render_table
+
+if TYPE_CHECKING:
+    from ..stream import StreamConfig
 
 __all__ = [
     "CharacterizationReport",
@@ -314,39 +317,43 @@ def _plan_record_shards(logs, logs_dir, workers, num_shards, lenient=False):
     return plan_memory_shards(list(logs), num_shards), num_shards
 
 
-def _stage_executor(
-    workers, backend, checkpoint, progress,
-    shard_timeout_s=None, retries=0, faults=None,
-):
-    """Shared executor construction so every pipeline stage exposes
-    the same hardening knobs (per-shard timeout, bounded retries,
-    fault plan)."""
-    from ..engine.executor import ShardExecutor
+def _stage_runner(workers, backend, checkpoint_dir, shard_timeout_s, retries, faults):
+    """One pipeline call's stage runner, built from that call's settings.
 
-    return ShardExecutor(
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        progress=progress,
-        timeout_s=shard_timeout_s,
-        retries=retries,
-        faults=faults,
-    )
+    ``run_stage(stage, shards, map_fn)`` runs one engine stage under a
+    ``pipeline.<stage>`` span and returns ``(merged_state, RunReport)``.
+    Every stage of a call shares the executor settings (workers,
+    backend, per-shard timeout, bounded retries, fault plan); only the
+    stage name differs.  A ``variant`` (the ngram URL variant) tags the
+    span in place of the shard count and suffixes the checkpoint
+    subdirectory.
 
-
-def _stage_checkpoint(checkpoint_dir, stage: str):
-    """Per-stage checkpoint store, or None.
-
-    Stages get their own subdirectories because shard ids are the
-    only checkpoint key: a §4 ``mem-0001…`` partial must never be
-    mistaken for a §5.1 flow partial when pipelines share one
+    Stages get their own checkpoint subdirectories because shard ids
+    are the only checkpoint key: a §4 ``mem-0001…`` partial must never
+    be mistaken for a §5.1 flow partial when pipelines share one
     checkpoint directory.
     """
     from ..engine.checkpoint import CheckpointStore
+    from ..engine.executor import ShardExecutor
 
-    if checkpoint_dir is None:
-        return None
-    return CheckpointStore(Path(checkpoint_dir) / stage)
+    def run_stage(stage, shards, map_fn, variant=None):
+        checkpoint = None
+        if checkpoint_dir is not None:
+            subdir = f"{stage}-{variant}" if variant else stage
+            checkpoint = CheckpointStore(Path(checkpoint_dir) / subdir)
+        executor = ShardExecutor(
+            workers=workers,
+            backend=backend,
+            checkpoint=checkpoint,
+            timeout_s=shard_timeout_s,
+            retries=retries,
+            faults=faults,
+        )
+        tags = {"variant": variant} if variant else {"shards": len(shards)}
+        with span(f"pipeline.{stage}", **tags):
+            return executor.run(shards, map_fn)
+
+    return run_stage
 
 
 def _flow_collect_shard(shard, flow_filter=None):
@@ -419,7 +426,6 @@ def run_characterization_parallel(
     backend: str = "auto",
     num_shards: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    progress=None,
     with_stats: bool = False,
     shard_timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -440,8 +446,7 @@ def run_characterization_parallel(
     merge losslessly and always in plan order.
 
     ``checkpoint_dir`` enables resume: completed shards persist there
-    and a re-run loads them instead of recomputing.  ``progress`` is
-    called with ``(ShardResult, done, total)`` per finished shard.
+    and a re-run loads them instead of recomputing.
     ``shard_timeout_s``/``retries`` bound hung or flaky shards (see
     ``docs/robustness.md``); ``lenient`` skips malformed log lines
     with a counter instead of failing the shard; ``faults`` installs
@@ -454,13 +459,10 @@ def run_characterization_parallel(
     shards, _ = _plan_record_shards(
         logs, logs_dir, workers, num_shards, lenient=lenient
     )
-    executor = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "characterization"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+    run_stage = _stage_runner(
+        workers, backend, checkpoint_dir, shard_timeout_s, retries, faults
     )
-    with span("pipeline.characterization", shards=len(shards)):
-        state, run_report = executor.run(shards, _characterize_shard)
+    state, run_report = run_stage("characterization", shards, _characterize_shard)
     if state is None:
         state = CharacterizationState()
     report = state.to_report(domain_categories)
@@ -480,7 +482,6 @@ def run_periodicity_parallel(
     backend: str = "auto",
     num_shards: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    progress=None,
     with_stats: bool = False,
     shard_timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -514,15 +515,14 @@ def run_periodicity_parallel(
     shards, num_shards = _plan_record_shards(
         logs, logs_dir, workers, num_shards, lenient=lenient
     )
-    collect = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "periodicity-flows"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+    run_stage = _stage_runner(
+        workers, backend, checkpoint_dir, shard_timeout_s, retries, faults
     )
-    with span("pipeline.periodicity-flows", shards=len(shards)):
-        flow_state, collect_report = collect.run(
-            shards, partial(_flow_collect_shard, flow_filter=flow_filter)
-        )
+    flow_state, collect_report = run_stage(
+        "periodicity-flows",
+        shards,
+        partial(_flow_collect_shard, flow_filter=flow_filter),
+    )
     if flow_state is None:
         flow_state = FlowCollectionState(flow_filter)
     flows = flow_state.finalize()
@@ -533,20 +533,15 @@ def run_periodicity_parallel(
         key=lambda item: item[0],
         prefix="periodicity-detect",
     )
-    detect = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "periodicity-detect"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+    detect_state, detect_report = run_stage(
+        "periodicity-detect",
+        detect_shards,
+        partial(
+            _detect_periods_shard,
+            detector_config=detector_config,
+            match_tolerance=match_tolerance,
+        ),
     )
-    with span("pipeline.periodicity-detect", shards=len(detect_shards)):
-        detect_state, detect_report = detect.run(
-            detect_shards,
-            partial(
-                _detect_periods_shard,
-                detector_config=detector_config,
-                match_tolerance=match_tolerance,
-            ),
-        )
     objects = detect_state.objects if detect_state is not None else {}
     report = PeriodicityReport(
         objects={object_id: objects[object_id] for object_id in sorted(objects)},
@@ -570,7 +565,6 @@ def run_ngram_parallel(
     backend: str = "auto",
     num_shards: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    progress=None,
     with_stats: bool = False,
     shard_timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -609,15 +603,12 @@ def run_ngram_parallel(
     shards, num_shards = _plan_record_shards(
         logs, logs_dir, workers, num_shards, lenient=lenient
     )
-    sequence_stage = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "ngram-sequences"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+    run_stage = _stage_runner(
+        workers, backend, checkpoint_dir, shard_timeout_s, retries, faults
     )
-    with span("pipeline.ngram-sequences", shards=len(shards)):
-        sequence_state, sequence_report = sequence_stage.run(
-            shards, _ngram_sequences_shard
-        )
+    sequence_state, sequence_report = run_stage(
+        "ngram-sequences", shards, _ngram_sequences_shard
+    )
     if sequence_state is None:
         sequence_state = NgramSequenceState()
 
@@ -637,16 +628,12 @@ def run_ngram_parallel(
             key=_ngram_client_id,
             prefix=f"ngram-train-{variant}",
         )
-        train = _stage_executor(
-            workers, backend,
-            _stage_checkpoint(checkpoint_dir, f"ngram-train-{variant}"),
-            progress,
-            shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+        model, train_report = run_stage(
+            "ngram-train",
+            train_shards,
+            partial(_ngram_train_shard, order=order),
+            variant=variant,
         )
-        with span("pipeline.ngram-train", variant=variant):
-            model, train_report = train.run(
-                train_shards, partial(_ngram_train_shard, order=order)
-            )
         if model is None:
             model = BackoffNgramModel(order=order)
 
@@ -656,16 +643,12 @@ def run_ngram_parallel(
             key=_ngram_client_id,
             prefix=f"ngram-eval-{variant}",
         )
-        evaluate = _stage_executor(
-            workers, backend,
-            _stage_checkpoint(checkpoint_dir, f"ngram-eval-{variant}"),
-            progress,
-            shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+        eval_state, eval_report = run_stage(
+            "ngram-eval",
+            eval_shards,
+            partial(_ngram_eval_shard, model=model, ns=ns, ks=ks),
+            variant=variant,
         )
-        with span("pipeline.ngram-eval", variant=variant):
-            eval_state, eval_report = evaluate.run(
-                eval_shards, partial(_ngram_eval_shard, model=model, ns=ns, ks=ks)
-            )
         stage_reports.extend([train_report, eval_report])
         for n in ns:
             for k in sorted(ks):
@@ -684,20 +667,7 @@ def run_stream(
     logs: Optional[Iterable[RequestLog]] = None,
     *,
     logs_dir: Optional[str] = None,
-    window_s: float = 300.0,
-    slide_s: Optional[float] = None,
-    watermark_lag_s: float = 0.0,
-    flow_filter: Optional[FlowFilter] = None,
-    detector_config: Optional[DetectorConfig] = None,
-    detect_periods: bool = True,
-    predict_urls: bool = True,
-    top_k: int = 5,
-    drift_threshold: float = 0.10,
-    tracks: Optional[Sequence[str]] = None,
-    queue_capacity: int = 65_536,
-    queue_policy: str = "block",
-    ingest_workers: int = 1,
-    checkpoint_dir: Optional[str] = None,
+    config: Optional[StreamConfig] = None,
     emit=None,
     on_snapshot=None,
     keep_accumulators: bool = False,
@@ -707,17 +677,18 @@ def run_stream(
 
     Exactly one input source must be given: ``logs`` (any iterable —
     replayed in-process) or ``logs_dir`` (a partitioned directory;
-    with ``ingest_workers > 1`` each edge streams as its own source
-    through the bounded ingest queue and keeps its own watermark
-    frontier, so inter-edge skew never makes records late —
-    ``watermark_lag_s`` only needs to cover disorder *within* an
-    edge's own stream).
+    with ``config.ingest_workers > 1`` each edge streams as its own
+    source through the bounded ingest queue and keeps its own
+    watermark frontier, so inter-edge skew never makes records late —
+    ``config.watermark_lag_s`` only needs to cover disorder *within*
+    an edge's own stream).  ``config`` is a
+    :class:`~repro.stream.StreamConfig` (its defaults when omitted).
 
     Returns the :class:`~repro.stream.service.StreamResult` with one
     :class:`~repro.stream.snapshots.WindowSnapshot` per sealed
     window.  ``emit`` (a path or text handle) appends each snapshot
-    as a JSONL line as it seals; ``checkpoint_dir`` persists sealed
-    windows so a killed stream resumes without double-counting
+    as a JSONL line as it seals; ``config.checkpoint_dir`` persists
+    sealed windows so a killed stream resumes without double-counting
     (see ``docs/streaming.md``).  ``faults`` installs a
     :class:`~repro.faults.FaultPlan` for the run (ingest stalls, torn
     window checkpoints, damaged source lines — see
@@ -725,7 +696,6 @@ def run_stream(
     """
     from ..faults import runtime as fault_runtime
     from ..stream import (
-        ALL_TRACKS,
         JsonlEmitter,
         StreamConfig,
         StreamService,
@@ -736,23 +706,7 @@ def run_stream(
 
     if (logs is None) == (logs_dir is None):
         raise ValueError("provide exactly one of logs= or logs_dir=")
-    config = StreamConfig(
-        window_s=window_s,
-        slide_s=slide_s,
-        watermark_lag_s=watermark_lag_s,
-        tracks=tuple(tracks) if tracks is not None else ALL_TRACKS,
-        flow_filter=flow_filter,
-        detector_config=detector_config,
-        match_tolerance=0.10,
-        detect_periods=detect_periods,
-        predict_urls=predict_urls,
-        top_k=top_k,
-        drift_threshold=drift_threshold,
-        queue_capacity=queue_capacity,
-        queue_policy=queue_policy,
-        ingest_workers=ingest_workers,
-        checkpoint_dir=checkpoint_dir,
-    )
+    config = config or StreamConfig()
     emitter = None
     if emit is not None:
         emitter = emit if isinstance(emit, JsonlEmitter) else JsonlEmitter(emit)
@@ -765,10 +719,10 @@ def run_stream(
     try:
         with fault_runtime.installed(faults):
             if logs is not None:
-                if ingest_workers > 1 or queue_policy == "drop":
+                if config.ingest_workers > 1 or config.queue_policy == "drop":
                     return service.run([iterable_source(logs)])
                 return service.replay(logs)
-            if ingest_workers > 1:
+            if config.ingest_workers > 1:
                 return service.run(directory_sources(logs_dir))
             return service.run([merged_directory_source(logs_dir)])
     finally:
@@ -804,7 +758,6 @@ def run_pattern_analysis_parallel(
     backend: str = "auto",
     num_shards: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    progress=None,
     shard_timeout_s: Optional[float] = None,
     retries: int = 0,
     faults=None,
@@ -824,34 +777,19 @@ def run_pattern_analysis_parallel(
         raise ValueError("provide exactly one of logs= or logs_dir=")
     if logs is not None:
         logs = list(logs)
+    engine = dict(
+        logs_dir=logs_dir,
+        workers=workers,
+        backend=backend,
+        num_shards=num_shards,
+        checkpoint_dir=checkpoint_dir,
+        shard_timeout_s=shard_timeout_s,
+        retries=retries,
+        faults=faults,
+        lenient=lenient,
+    )
     periodicity = run_periodicity_parallel(
-        logs,
-        logs_dir=logs_dir,
-        flow_filter=flow_filter,
-        detector_config=detector_config,
-        workers=workers,
-        backend=backend,
-        num_shards=num_shards,
-        checkpoint_dir=checkpoint_dir,
-        progress=progress,
-        shard_timeout_s=shard_timeout_s,
-        retries=retries,
-        faults=faults,
-        lenient=lenient,
+        logs, flow_filter=flow_filter, detector_config=detector_config, **engine
     )
-    ngram = run_ngram_parallel(
-        logs,
-        logs_dir=logs_dir,
-        ns=ngram_ns,
-        ks=ngram_ks,
-        workers=workers,
-        backend=backend,
-        num_shards=num_shards,
-        checkpoint_dir=checkpoint_dir,
-        progress=progress,
-        shard_timeout_s=shard_timeout_s,
-        retries=retries,
-        faults=faults,
-        lenient=lenient,
-    )
+    ngram = run_ngram_parallel(logs, ns=ngram_ns, ks=ngram_ks, **engine)
     return PatternReport(periodicity=periodicity, ngram=ngram)

@@ -17,7 +17,6 @@ from .executor import (
     RunReport,
     ShardExecutor,
     ShardResult,
-    run_shards,
 )
 from .flowstate import FlowCollectionState, PeriodicityDetectionState
 from .ngramstate import NgramEvalState, NgramSequenceState
@@ -54,6 +53,5 @@ __all__ = [
     "plan_directory_shards",
     "plan_item_shards",
     "plan_memory_shards",
-    "run_shards",
     "stable_hash64",
 ]

@@ -18,9 +18,9 @@ pickled envelope::
 The payload is pickled separately so the checksum covers its exact
 byte representation; :meth:`load` recomputes and compares it, which
 catches bit-rot and partial overwrites that still unpickle cleanly.
-Version-1 envelopes (inline unchecked ``payload``) are still read so
-existing checkpoint directories survive the upgrade; new saves are
-always v2.
+Any other version — including the unchecksummed v1 envelopes of
+earlier releases — raises :class:`CheckpointError`, so its shard
+recomputes.
 
 Durability: writes go temp-file → ``fsync`` → ``os.replace``, so a
 kill (or power loss, up to filesystem guarantees) during a save never
@@ -54,7 +54,6 @@ __all__ = ["CheckpointStore", "CheckpointError"]
 
 _FORMAT = "repro-engine-checkpoint"
 _VERSION = 2
-_LEGACY_VERSION = 1
 _SUFFIX = ".ckpt"
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -158,7 +157,7 @@ class CheckpointStore:
         if (
             not isinstance(envelope, dict)
             or envelope.get("format") != _FORMAT
-            or envelope.get("version") not in (_VERSION, _LEGACY_VERSION)
+            or envelope.get("version") != _VERSION
         ):
             raise CheckpointError(f"{path} is not a v{_VERSION} engine checkpoint")
         if envelope.get("shard_id") != shard_id:
@@ -166,9 +165,6 @@ class CheckpointStore:
                 f"{path} holds shard {envelope.get('shard_id')!r}, "
                 f"expected {shard_id!r}"
             )
-        if envelope.get("version") == _LEGACY_VERSION:
-            # v1: inline payload, no checksum to verify.
-            return envelope["payload"]
         payload_bytes = envelope.get("payload")
         if not isinstance(payload_bytes, bytes):
             raise CheckpointError(f"{path} has a non-bytes v{_VERSION} payload")

@@ -45,11 +45,10 @@ Partial-failure hardening (see ``docs/robustness.md``):
   crashes a run.
 
 A :class:`CheckpointStore` plugs in to skip already-computed shards
-and persist fresh ones; a ``progress`` callback observes each
-completed shard for live reporting.  A
-:class:`~repro.faults.FaultPlan` passed as ``faults`` is installed
-for the duration of the run (and shipped to pool workers as a pickled
-argument) to exercise all of the above deterministically.
+and persist fresh ones.  A :class:`~repro.faults.FaultPlan` passed as
+``faults`` is installed for the duration of the run (and shipped to
+pool workers as a pickled argument) to exercise all of the above
+deterministically.
 """
 
 from __future__ import annotations
@@ -84,13 +83,11 @@ __all__ = [
     "RunReport",
     "EngineError",
     "ShardExecutor",
-    "run_shards",
 ]
 
 BACKENDS = ("auto", "serial", "thread", "process")
 
 MapFn = Callable[[Shard], Any]
-ProgressFn = Callable[["ShardResult", int, int], None]
 
 
 def _exception_line(error: Optional[str]) -> str:
@@ -301,7 +298,6 @@ class ShardExecutor:
         workers: int = 1,
         backend: str = "auto",
         checkpoint: Optional[CheckpointStore] = None,
-        progress: Optional[ProgressFn] = None,
         strict: bool = True,
         timeout_s: Optional[float] = None,
         retries: int = 0,
@@ -323,7 +319,6 @@ class ShardExecutor:
             ("serial" if workers == 1 else "process") if backend == "auto" else backend
         )
         self.checkpoint = checkpoint
-        self.progress = progress
         self.strict = strict
         self.timeout_s = timeout_s
         self.retries = retries
@@ -387,14 +382,8 @@ class ShardExecutor:
                 attempts=0,
             )
 
-        done_count = len(results)
-        total = len(shards)
-        for index in sorted(results):
-            self._notify(results[index], done_count, total)
-
         def record_outcome(index: int, state: Any, seconds: float,
                            error: Optional[str], attempts: int) -> None:
-            nonlocal done_count
             shard = shards[index]
             if isinstance(state, _MappedShard):
                 shard_metrics[index] = state.metrics
@@ -403,7 +392,7 @@ class ShardExecutor:
                 states[index] = state
                 if self.checkpoint is not None:
                     self.checkpoint.save(shard.shard_id, state)
-            result = ShardResult(
+            results[index] = ShardResult(
                 shard_id=shard.shard_id,
                 ok=error is None,
                 seconds=seconds,
@@ -412,9 +401,6 @@ class ShardExecutor:
                 attempts=attempts,
                 recomputed_checkpoint=index in recompute and error is None,
             )
-            results[index] = result
-            done_count += 1
-            self._notify(result, done_count, total)
 
         if self.backend == "serial":
             self._map_serial_all(map_fn, shards, pending, record_outcome)
@@ -426,7 +412,7 @@ class ShardExecutor:
         # checkpoint-loaded merge base is copied first — a store that
         # caches loaded objects must never see them mutated.
         merged: Any = None
-        for index in range(total):
+        for index in range(len(shards)):
             state = states.get(index)
             if state is None:
                 continue
@@ -443,7 +429,7 @@ class ShardExecutor:
             backend=self.backend,
             workers=self.workers,
         )
-        self._record_run_metrics(report, shard_metrics, total)
+        self._record_run_metrics(report, shard_metrics, len(shards))
         if self.strict and report.failed:
             raise EngineError(report.failed)
         return merged, report
@@ -481,10 +467,6 @@ class ShardExecutor:
                 ambient.observe("engine.shard_seconds", result.seconds)
         ambient.observe("engine.run_seconds", report.elapsed_seconds)
 
-    def _notify(self, result: ShardResult, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(result, done, total)
-
     def _backoff(self, attempt: int) -> float:
         """Delay before ``attempt`` (attempt 0 never waits)."""
         if attempt <= 0 or self.backoff_s == 0:
@@ -498,9 +480,7 @@ class ShardExecutor:
         The process backend pickles the map function once per shard;
         a lambda, a closure, or a ``functools.partial`` carrying an
         unpicklable callback would otherwise fail every shard with
-        the same cryptic ``PicklingError``.  (The ``progress``
-        callback itself never crosses the process boundary — it runs
-        in the parent — so it may be a lambda.)
+        the same cryptic ``PicklingError``.
         """
         try:
             pickle.dumps(map_fn)
@@ -602,12 +582,10 @@ class ShardExecutor:
                     info = inflight.pop(future)
                     try:
                         state = future.result()
-                    except BrokenExecutor:
-                        # Collateral of a worker death: the attempt
-                        # never misbehaved, so retrying it is always
-                        # sound.
-                        finish(info, None, traceback.format_exc(), True)
                     except Exception:
+                        # Includes BrokenExecutor, the collateral of a
+                        # worker death: the attempt never misbehaved,
+                        # so retrying it is always sound.
                         finish(info, None, traceback.format_exc(), True)
                     else:
                         finish(info, state, None, False)
@@ -675,30 +653,3 @@ class ShardExecutor:
                 True,
             )
 
-
-def run_shards(
-    shards: Sequence[Shard],
-    map_fn: MapFn,
-    workers: int = 1,
-    backend: str = "auto",
-    checkpoint: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-    strict: bool = True,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.05,
-    faults: Optional[FaultPlan] = None,
-):
-    """One-shot convenience wrapper around :class:`ShardExecutor`."""
-    executor = ShardExecutor(
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        progress=progress,
-        strict=strict,
-        timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        faults=faults,
-    )
-    return executor.run(shards, map_fn)

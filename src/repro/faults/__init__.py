@@ -14,11 +14,12 @@ field; see ``tests/test_chaos_differential.py``).
 
 The injection sites live behind zero-overhead-when-disabled hooks:
 each site asks :func:`repro.faults.runtime.active` for the installed
-plan once (a module-global read) and does nothing further when no
-plan is installed, so production runs pay a nil-check and nothing
-else.  Plans are installed per run (``ShardExecutor(faults=plan)``,
-``run_stream(faults=plan)``) and travel to process-pool workers as a
-pickled argument — never ambiently.
+plan once (one attribute read) and does nothing further when no plan
+is installed, so production runs pay a nil-check and nothing else.
+Plans are installed per run (``ShardExecutor(faults=plan)``,
+``run_stream(logs, config=StreamConfig(...), faults=plan)``) and
+travel to process-pool workers as a pickled argument — never
+ambiently.
 """
 
 from .plan import FAULT_SITES, FaultPlan, FaultRule, InjectedFault

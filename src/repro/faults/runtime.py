@@ -2,27 +2,23 @@
 
 Injection sites are sprinkled through hot paths (``logs.io`` line
 loops, the ingest worker, checkpoint saves), so the disabled path must
-cost nothing beyond a module-global read: :func:`active` returns the
+cost nothing beyond an attribute read: :func:`active` returns the
 installed plan or ``None``, and every hook starts with that nil-check.
 
-Two pieces of ambient state live here:
-
-* the **installed plan** (module global) — set by
-  :func:`installed` for the duration of a run.  In process-pool
-  workers the executor re-installs the pickled plan around each shard
-  attempt, so hooks behave identically on every backend.
-* the **attempt number** (thread-local) — set by :func:`attempt`
-  around each shard/read attempt so downstream hooks (gzip reads deep
-  inside a map function, checkpoint saves) can make attempt-aware
-  decisions without threading a parameter through every call.
+Two pieces of ambient state live here, each a
+:class:`~repro.ambient.Ambient`: the **installed plan** (process-wide,
+set by :func:`installed` for a run; process-pool workers re-install
+the pickled plan around each shard attempt, so hooks behave the same
+on every backend) and the **attempt number** (per thread, set by
+:func:`attempt` around each shard/read attempt so hooks deep inside a
+map function can make attempt-aware decisions without a parameter).
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
 
+from ..ambient import Ambient
 from .plan import FaultPlan, FaultRule
 
 __all__ = [
@@ -33,57 +29,30 @@ __all__ = [
     "should_fire",
 ]
 
-_plan: Optional[FaultPlan] = None
-_local = threading.local()
+_plan = Ambient()
+_attempt = Ambient(0)
 
 
 def active() -> Optional[FaultPlan]:
     """The currently installed fault plan, or ``None`` (the hot path)."""
-    return _plan
+    return _plan.value
 
 
 def current_attempt() -> int:
     """The attempt number for the current thread (0 outside retries)."""
-    return getattr(_local, "attempt", 0)
+    return _attempt.get()
 
 
-@contextmanager
-def installed(plan: Optional[FaultPlan]) -> Iterator[None]:
-    """Install ``plan`` for the duration of the block.
-
-    ``installed(None)`` is a no-op, so call sites can wrap
-    unconditionally.  Re-entrant installs restore the previous plan on
-    exit, which keeps nested runs (a stream resume inside a test that
-    already installed a plan) well-behaved.
-
-    The restore is compare-and-swap: an *abandoned* worker thread (a
-    timed-out shard attempt still sleeping in an injected hang) that
-    exits this context after a newer plan was installed must not
-    clobber it — if someone else changed the global meanwhile, their
-    install wins and this exit does nothing.
-    """
-    global _plan
-    if plan is None:
-        yield
-        return
-    previous = _plan
-    _plan = plan
-    try:
-        yield
-    finally:
-        if _plan is plan:
-            _plan = previous
+def installed(plan: Optional[FaultPlan]) -> ContextManager[None]:
+    """Install ``plan`` for a block (``None``: no-op, so call sites wrap
+    unconditionally); the restore is compare-and-swap
+    (:meth:`~repro.ambient.Ambient.installed`)."""
+    return _plan.installed(plan)
 
 
-@contextmanager
-def attempt(n: int) -> Iterator[None]:
+def attempt(n: int) -> ContextManager[int]:
     """Set the thread's attempt number for the duration of the block."""
-    previous = current_attempt()
-    _local.attempt = n
-    try:
-        yield
-    finally:
-        _local.attempt = previous
+    return _attempt.overridden(n)
 
 
 def should_fire(site: str, key: str) -> Optional[FaultRule]:
@@ -92,7 +61,7 @@ def should_fire(site: str, key: str) -> Optional[FaultRule]:
     Returns ``None`` immediately when no plan is installed — the only
     cost a production run ever pays.
     """
-    plan = _plan
+    plan = _plan.value
     if plan is None:
         return None
     return plan.should_fire(site, key, current_attempt())

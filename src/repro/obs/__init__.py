@@ -8,7 +8,8 @@ The subsystem has four pieces:
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, counters /
   gauges / histograms with engine-style merge semantics;
 * :mod:`repro.obs.runtime` — ambient install (process-global +
-  thread-local), mirroring ``repro.faults.runtime``;
+  thread-local), the same :class:`repro.ambient.Ambient` primitive
+  as ``repro.faults.runtime``;
 * :mod:`repro.obs.spans` / :mod:`repro.obs.export` — stage tracing
   and Prometheus-text / JSON / JSONL exporters.
 

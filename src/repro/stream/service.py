@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..engine.checkpoint import CheckpointError, CheckpointStore
 from ..logs.record import RequestLog
@@ -53,6 +53,19 @@ _CHECKPOINT_SUBDIR = "stream-windows"
 def window_id(bounds: WindowBounds) -> str:
     """Stable checkpoint key for a window: ``window-<start>-<end>``."""
     return f"window-{bounds[0]!r}-{bounds[1]!r}"
+
+
+def _sealed_payloads(store: CheckpointStore) -> Iterator[dict]:
+    """Every readable sealed-window checkpoint payload in ``store``.
+
+    Torn checkpoints read as "window never sealed"; the resumed run
+    recomputes and re-seals that window.
+    """
+    for shard_id in store.completed_ids():
+        try:
+            yield store.load(shard_id)
+        except (CheckpointError, FileNotFoundError):
+            continue
 
 
 @dataclass
@@ -132,7 +145,11 @@ class StreamService:
             self.store = CheckpointStore(
                 Path(self.config.checkpoint_dir) / _CHECKPOINT_SUBDIR
             )
-            self._presealed = self._load_sealed_bounds(self.store)
+            self._presealed = [
+                tuple(payload["bounds"])
+                for payload in _sealed_payloads(self.store)
+                if isinstance(payload, dict) and "bounds" in payload
+            ]
         self._builder = SnapshotBuilder(
             detector_config=self.config.detector_config,
             match_tolerance=self.config.match_tolerance,
@@ -196,13 +213,9 @@ class StreamService:
         """
         if self.store is None:
             return []
-        accumulators: List[WindowAccumulator] = []
-        for shard_id in self.store.completed_ids():
-            try:
-                payload = self.store.load(shard_id)
-            except (CheckpointError, FileNotFoundError):
-                continue
-            accumulators.append(payload["accumulator"])
+        accumulators = [
+            payload["accumulator"] for payload in _sealed_payloads(self.store)
+        ]
         accumulators.sort(key=lambda acc: (acc.window_end, acc.window_start))
         return accumulators
 
@@ -277,16 +290,3 @@ class StreamService:
         if self.on_snapshot is not None:
             self.on_snapshot(snapshot)
 
-    @staticmethod
-    def _load_sealed_bounds(store: CheckpointStore) -> List[WindowBounds]:
-        bounds: List[WindowBounds] = []
-        for shard_id in store.completed_ids():
-            try:
-                payload = store.load(shard_id)
-            except (CheckpointError, FileNotFoundError):
-                # Torn checkpoints read as "window never sealed"; the
-                # resumed run recomputes and re-seals that window.
-                continue
-            if isinstance(payload, dict) and "bounds" in payload:
-                bounds.append(tuple(payload["bounds"]))
-        return bounds

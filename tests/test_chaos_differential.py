@@ -254,21 +254,19 @@ class TestTornCheckpointChaos:
         )
         ckpt = str(tmp_path / "stream-ckpt")
         ordered = sorted(logs, key=lambda record: record.timestamp)
-        kwargs = dict(
-            window_s=1_800.0,
-            detect_periods=False,
-            predict_urls=False,
-            keep_accumulators=True,
+        settings = dict(
+            window_s=1_800.0, detect_periods=False, predict_urls=False
         )
-        baseline = run_stream(ordered, **kwargs)
+        baseline = run_stream(
+            ordered, config=StreamConfig(**settings), keep_accumulators=True
+        )
         # Run 1: through the real ingest queue (stall fires there),
         # tearing some window checkpoints as they seal.
         first = run_stream(
             ordered,
-            checkpoint_dir=ckpt,
-            ingest_workers=2,
+            config=StreamConfig(checkpoint_dir=ckpt, ingest_workers=2, **settings),
+            keep_accumulators=True,
             faults=plan,
-            **kwargs,
         )
         assert first.sealed_windows == baseline.sealed_windows
         assert first.records_windowed == len(ordered)
@@ -281,7 +279,11 @@ class TestTornCheckpointChaos:
         assert torn > 0, "plan never tore a window checkpoint"
         # Run 2 (fault-free): torn windows read as never-sealed and
         # are recomputed; readable ones are resumed, not re-counted.
-        second = run_stream(ordered, checkpoint_dir=ckpt, **kwargs)
+        second = run_stream(
+            ordered,
+            config=StreamConfig(checkpoint_dir=ckpt, **settings),
+            keep_accumulators=True,
+        )
         assert second.resumed_windows == baseline.sealed_windows - torn
         assert second.sealed_windows == torn
         assert (

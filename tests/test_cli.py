@@ -32,7 +32,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command", ["characterize", "patterns", "periodicity", "ngram",
-                    "windows", "paper", "replay", "engine-bench"]
+                    "paper", "engine-bench"]
     )
     def test_engine_args_on_analysis_commands(self, command):
         args = build_parser().parse_args(
@@ -116,6 +116,22 @@ class TestParser:
         assert args.retries == 0
         assert args.lenient is False
 
+    @pytest.mark.parametrize("argv", [
+        ["windows", "--workers", "2"],
+        ["replay", "--retries", "1"],
+    ], ids=["windows", "replay"])
+    def test_input_only_commands_reject_engine_flags(self, argv):
+        """``windows`` and ``replay`` never run the engine, so its
+        flags are usage errors there, not silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        args = build_parser().parse_args(
+            argv[:1] + ["--logs-dir", "parts/", "--lenient",
+                        "--metrics", "m.json", "--trace", "t.jsonl"]
+        )
+        assert args.logs_dir == "parts/" and args.lenient
+
     def test_negative_retries_rejected(self):
         with pytest.raises(SystemExit):
             main(["characterize", "--requests", "100", "--retries", "-1"])
@@ -126,6 +142,24 @@ class TestParser:
 
 
 class TestCommands:
+    def test_paper_forwards_hardening_flags(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = {}
+
+        def fake_parallel(logs, categories, **kwargs):
+            seen.update(kwargs)
+            return cli.run_characterization(logs, categories)
+
+        monkeypatch.setattr(cli, "run_characterization_parallel", fake_parallel)
+        assert main(
+            ["paper", "--requests", "1500", "--seed", "3",
+             "--workers", "2", "--retries", "1"]
+        ) == 0
+        assert seen["workers"] == 2
+        assert seen["retries"] == 1
+        assert "Table 2" in capsys.readouterr().out
+
     def test_trend(self, capsys):
         assert main(["trend"]) == 0
         out = capsys.readouterr().out

@@ -63,3 +63,57 @@ class TestPatternReport:
     def test_clustered_accuracy_reported(self, patterns):
         result = patterns.ngram[(1, 10, True)]
         assert 0.5 < result.accuracy <= 1.0
+
+
+class TestBenchmarkCallingConvention:
+    """The calls the benchmark harness makes, pinned here so a refactor
+    that breaks them fails tier-1 instead of the benchmark run.  The
+    harness itself is not imported."""
+
+    ENGINE = dict(
+        logs_dir="parts/", workers=2, backend="auto", num_shards=8, with_stats=True
+    )
+
+    def test_engine_pipelines_take_the_harness_keywords(self):
+        import inspect
+
+        from repro.core import pipeline
+
+        for function, extra in (
+            (pipeline.run_characterization_parallel, {}),
+            (pipeline.run_periodicity_parallel, {"detector_config": DetectorConfig()}),
+            (pipeline.run_ngram_parallel, {"ns": (1,), "ks": (1, 5, 10)}),
+        ):
+            inspect.signature(function).bind(**self.ENGINE, **extra)
+
+    def test_serial_pipelines_take_the_harness_arguments(self):
+        import inspect
+
+        inspect.signature(run_characterization).bind([])
+        inspect.signature(run_pattern_analysis).bind(
+            [], detector_config=DetectorConfig(), ngram_ns=(1,), ngram_ks=(1, 5, 10)
+        )
+
+    def test_stream_config_and_service_take_the_harness_arguments(self):
+        import inspect
+
+        from repro.stream import StreamConfig, StreamService
+
+        config = StreamConfig(
+            window_s=300.0,
+            watermark_lag_s=60.0,
+            detector_config=DetectorConfig(permutations=5),
+            detect_periods=True,
+            predict_urls=True,
+            ingest_workers=1,
+            checkpoint_dir=None,
+        )
+        inspect.signature(StreamService).bind(config, on_snapshot=print)
+
+    def test_obs_runtime_entry_points(self):
+        import inspect
+
+        from repro.obs import runtime
+
+        inspect.signature(runtime.active).bind()
+        inspect.signature(runtime.installed).bind(None)

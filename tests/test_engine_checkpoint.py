@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.pipeline import run_characterization, run_characterization_parallel
 from repro.engine.checkpoint import CheckpointError, CheckpointStore
-from repro.engine.executor import EngineError, run_shards
+from repro.engine.executor import ShardExecutor
 from repro.engine.shard import plan_directory_shards
 from repro.engine.state import CharacterizationState
 from repro.logs.partition import write_partitioned
@@ -113,23 +113,33 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             store.load("shard-a")
 
-    def test_legacy_v1_checkpoints_still_load(self, tmp_path):
-        """Pre-checksum checkpoint dirs survive the v2 upgrade."""
+    def test_legacy_v1_checkpoints_recompute(self, tmp_path):
+        """Unchecksummed v1 envelopes are rejected, and the executor
+        recomputes their shard to the same state."""
         import pickle
 
+        from repro.engine.shard import plan_memory_shards
+        from tests.test_engine_executor import sum_shard
+
+        shards = plan_memory_shards(
+            [make_log(response_bytes=index) for index in range(40)], 2
+        )
         store = CheckpointStore(tmp_path)
-        state = CharacterizationState()
-        state.ingest(make_log())
+        fresh, _ = ShardExecutor().run(shards, sum_shard)
+        legacy = shards[0].shard_id
         envelope = {
             "format": "repro-engine-checkpoint",
             "version": 1,
-            "shard_id": "shard-v1",
-            "payload": state,  # v1: inline object, no checksum
+            "shard_id": legacy,
+            "payload": sum_shard(shards[0]),  # v1: inline object, no checksum
         }
-        store.path_for("shard-v1").write_bytes(pickle.dumps(envelope))
-        assert store.has("shard-v1")
-        assert store.load("shard-v1").record_count == 1
-        assert "shard-v1" in store.completed_ids()
+        store.path_for(legacy).write_bytes(pickle.dumps(envelope))
+        with pytest.raises(CheckpointError, match="not a v2"):
+            store.load(legacy)
+        state, report = ShardExecutor(checkpoint=store).run(shards, sum_shard)
+        assert report.recomputed_checkpoints == 1
+        assert state.values == fresh.values
+        assert state.trace == fresh.trace
 
     def test_saved_file_survives_a_round_trip_rename(self, tmp_path):
         """The atomic write leaves no .tmp residue behind."""
@@ -167,7 +177,7 @@ class TestMergeBaseIsolation:
             store.save(shard.shard_id, sum_shard(shard))
         store.cache.clear()
 
-        merged, report = run_shards(shards, sum_shard, checkpoint=store)
+        merged, report = ShardExecutor(checkpoint=store).run(shards, sum_shard)
         assert report.skipped == 2
         assert sorted(merged.values) == list(range(40))
         # The cached first state must be untouched by the merge.
@@ -189,8 +199,8 @@ class TestMergeBaseIsolation:
         for shard in shards:
             store.save(shard.shard_id, sum_shard(shard))
 
-        first, _ = run_shards(shards, sum_shard, checkpoint=store)
-        second, _ = run_shards(shards, sum_shard, checkpoint=store)
+        first, _ = ShardExecutor(checkpoint=store).run(shards, sum_shard)
+        second, _ = ShardExecutor(checkpoint=store).run(shards, sum_shard)
         assert sorted(first.values) == sorted(second.values) == list(range(40))
         assert first.trace == second.trace
 
@@ -230,24 +240,20 @@ class TestResume:
         first_markers = tmp_path / "first"
         first_markers.mkdir()
         with pytest.raises(BaseException):
-            run_shards(
-                shards,
-                _killed_map_fn(first_markers, die_after=3),
+            ShardExecutor(
                 backend="serial",
                 checkpoint=checkpoint,
-            )
+            ).run(shards, _killed_map_fn(first_markers, die_after=3))
         executed_first = len(list(first_markers.iterdir()))
         assert executed_first == 3
         assert len(checkpoint.completed_ids()) == 3
 
         second_markers = tmp_path / "second"
         second_markers.mkdir()
-        state, report = run_shards(
-            shards,
-            _marking_map_fn(second_markers),
+        state, report = ShardExecutor(
             backend="serial",
             checkpoint=checkpoint,
-        )
+        ).run(shards, _marking_map_fn(second_markers))
         executed_second = len(list(second_markers.iterdir()))
         assert executed_second == len(shards) - executed_first
         assert report.skipped == executed_first

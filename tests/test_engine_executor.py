@@ -7,7 +7,7 @@ they pickle.
 import pytest
 
 from repro.core.pipeline import run_characterization, run_characterization_parallel
-from repro.engine.executor import EngineError, ShardExecutor, run_shards
+from repro.engine.executor import EngineError, ShardExecutor
 from repro.engine.shard import MemoryShard, plan_memory_shards
 from repro.engine.state import CharacterizationState
 from tests.conftest import make_log
@@ -59,19 +59,21 @@ class TestBackends:
         ("process", 2),
     ])
     def test_all_backends_agree(self, shards, backend, workers):
-        state, report = run_shards(
-            shards, sum_shard, workers=workers, backend=backend
-        )
+        state, report = ShardExecutor(
+            workers=workers,
+            backend=backend,
+        ).run(shards, sum_shard)
         assert sorted(state.values) == list(range(200))
         assert report.backend == backend
         assert report.total_shards == 4
         assert not report.failed
 
     def test_merge_order_is_plan_order(self, shards):
-        serial_state, _ = run_shards(shards, sum_shard, backend="serial")
-        thread_state, _ = run_shards(
-            shards, sum_shard, workers=4, backend="thread"
-        )
+        serial_state, _ = ShardExecutor(backend="serial").run(shards, sum_shard)
+        thread_state, _ = ShardExecutor(
+            workers=4,
+            backend="thread",
+        ).run(shards, sum_shard)
         assert serial_state.trace == [shard.shard_id for shard in shards]
         assert thread_state.trace == serial_state.trace
         assert thread_state.values == serial_state.values
@@ -89,27 +91,28 @@ class TestBackends:
             ShardExecutor(workers=0)
 
     def test_empty_plan(self):
-        state, report = run_shards([], sum_shard)
+        state, report = ShardExecutor().run([], sum_shard)
         assert state is None
         assert report.total_shards == 0
 
     def test_duplicate_shard_ids_rejected(self):
         twins = [MemoryShard(shard_id="dup"), MemoryShard(shard_id="dup")]
         with pytest.raises(ValueError, match="duplicate"):
-            run_shards(twins, sum_shard)
+            ShardExecutor().run(twins, sum_shard)
 
 
 class TestErrorCapture:
     def test_strict_raises_after_all_shards(self, shards):
         with pytest.raises(EngineError) as excinfo:
-            run_shards(shards, failing_shard, backend="serial")
+            ShardExecutor(backend="serial").run(shards, failing_shard)
         assert "0002-of-0004" in str(excinfo.value)
         assert len(excinfo.value.failures) == 1
 
     def test_non_strict_returns_partial(self, shards):
-        state, report = run_shards(
-            shards, failing_shard, backend="serial", strict=False
-        )
+        state, report = ShardExecutor(
+            backend="serial",
+            strict=False,
+        ).run(shards, failing_shard)
         failed = report.failed
         assert len(failed) == 1
         assert "boom in shard 2" in failed[0].error
@@ -122,9 +125,11 @@ class TestErrorCapture:
         assert len(state.values) == healthy
 
     def test_process_backend_captures_errors(self, shards):
-        state, report = run_shards(
-            shards, failing_shard, workers=2, backend="process", strict=False
-        )
+        state, report = ShardExecutor(
+            workers=2,
+            backend="process",
+            strict=False,
+        ).run(shards, failing_shard)
         assert len(report.failed) == 1
         assert "boom in shard 2" in report.failed[0].error
 
@@ -136,7 +141,7 @@ class TestUnpicklableMapFn:
 
     def test_lambda_map_fn_fails_fast(self, shards):
         with pytest.raises(ValueError) as excinfo:
-            run_shards(shards, lambda shard: None, workers=2, backend="process")
+            ShardExecutor(workers=2, backend="process").run(shards, lambda shard: None)
         message = str(excinfo.value)
         assert "picklable map function" in message
         assert "module top level" in message
@@ -150,59 +155,32 @@ class TestUnpicklableMapFn:
 
         bound = partial(map_with_callback, callback=lambda result: None)
         with pytest.raises(ValueError, match="picklable map function"):
-            run_shards(shards, bound, workers=2, backend="process")
+            ShardExecutor(workers=2, backend="process").run(shards, bound)
 
-    def test_failure_precedes_any_shard_work(self, shards):
-        """No ShardResults exist — the preflight rejects the whole run."""
-        seen = []
+    def test_failure_precedes_any_shard_work(self, shards, tmp_path):
+        """No shard runs — the preflight rejects the whole run, so the
+        checkpoint store never sees a save."""
+        from repro.engine.checkpoint import CheckpointStore
+
+        store = CheckpointStore(tmp_path / "ckpt")
         with pytest.raises(ValueError):
-            run_shards(
-                shards,
-                lambda shard: None,
-                workers=2,
-                backend="process",
-                progress=lambda result, done, total: seen.append(result),
+            ShardExecutor(workers=2, backend="process", checkpoint=store).run(
+                shards, lambda shard: None
             )
-        assert seen == []
+        assert store.completed_ids() == []
 
     def test_lambda_map_fn_fine_on_thread_backend(self, shards):
-        state, report = run_shards(
-            shards,
-            lambda shard: sum_shard(shard),
+        state, report = ShardExecutor(
             workers=2,
             backend="thread",
-        )
+        ).run(shards, lambda shard: sum_shard(shard))
         assert sorted(state.values) == list(range(200))
         assert not report.failed
 
-    def test_lambda_progress_fine_on_process_backend(self, shards):
-        """The progress callback runs in the parent and never pickles."""
-        seen = []
-        state, report = run_shards(
-            shards,
-            sum_shard,
-            workers=2,
-            backend="process",
-            progress=lambda result, done, total: seen.append(done),
-        )
-        assert sorted(state.values) == list(range(200))
-        assert sorted(seen) == [1, 2, 3, 4]
-
 
 class TestProgress:
-    def test_progress_called_per_shard(self, shards):
-        seen = []
-
-        def progress(result, done, total):
-            seen.append((result.shard_id, done, total))
-
-        run_shards(shards, sum_shard, backend="serial", progress=progress)
-        assert len(seen) == 4
-        assert [done for _, done, _ in seen] == [1, 2, 3, 4]
-        assert all(total == 4 for _, _, total in seen)
-
     def test_report_statistics(self, shards):
-        _, report = run_shards(shards, sum_shard, backend="serial")
+        _, report = ShardExecutor(backend="serial").run(shards, sum_shard)
         assert report.elapsed_seconds > 0
         assert report.skipped == 0
         assert report.executed == 4

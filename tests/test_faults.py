@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.engine.checkpoint import CheckpointError, CheckpointStore
-from repro.engine.executor import EngineError, ShardResult, run_shards
+from repro.engine.executor import EngineError, ShardExecutor, ShardResult
 from repro.engine.shard import plan_memory_shards
 from repro.faults import FAULT_SITES, FaultPlan, FaultRule, InjectedFault, runtime
 from repro.logs.io import LineStats, read_jsonl, write_jsonl
@@ -224,15 +224,13 @@ class TestExecutorFaults:
         plan = FaultPlan(
             0, [FaultRule("map.exception", times=1, match="0002-of-0004")]
         )
-        state, report = run_shards(
-            shards,
-            sum_shard,
+        state, report = ShardExecutor(
             workers=workers,
             backend=backend,
             retries=1,
             backoff_s=0.0,
             faults=plan,
-        )
+        ).run(shards, sum_shard)
         assert sorted(state.values) == list(range(200))
         assert not report.failed
         assert report.retries == 1
@@ -243,15 +241,13 @@ class TestExecutorFaults:
         plan = FaultPlan(
             0, [FaultRule("map.exception", times=5, match="0002-of-0004")]
         )
-        state, report = run_shards(
-            shards,
-            sum_shard,
+        state, report = ShardExecutor(
             backend="serial",
             retries=2,
             backoff_s=0.0,
             strict=False,
             faults=plan,
-        )
+        ).run(shards, sum_shard)
         assert len(report.quarantined) == 1
         assert report.quarantined[0].endswith("0002-of-0004")
         assert report.retries == 2
@@ -266,7 +262,7 @@ class TestExecutorFaults:
     def test_strict_run_raises_the_injected_fault(self, shards):
         plan = FaultPlan(0, [FaultRule("map.exception", match="0002-of-0004")])
         with pytest.raises(EngineError) as excinfo:
-            run_shards(shards, sum_shard, backend="serial", faults=plan)
+            ShardExecutor(backend="serial", faults=plan).run(shards, sum_shard)
         assert "InjectedFault" in str(excinfo.value)
 
     def test_hang_is_abandoned_by_the_timeout_and_retried(self, shards):
@@ -275,16 +271,14 @@ class TestExecutorFaults:
             [FaultRule("map.hang", times=1, param=5.0, match="0002-of-0004")],
         )
         started = time.perf_counter()
-        state, report = run_shards(
-            shards,
-            sum_shard,
+        state, report = ShardExecutor(
             workers=3,
             backend="thread",
             timeout_s=0.2,
             retries=1,
             backoff_s=0.0,
             faults=plan,
-        )
+        ).run(shards, sum_shard)
         assert time.perf_counter() - started < 4.0  # never waited out the hang
         assert sorted(state.values) == list(range(200))
         assert not report.failed
@@ -295,15 +289,13 @@ class TestExecutorFaults:
             0,
             [FaultRule("map.worker_death", times=1, match="0002-of-0004")],
         )
-        state, report = run_shards(
-            shards,
-            sum_shard,
+        state, report = ShardExecutor(
             workers=2,
             backend="process",
             retries=1,
             backoff_s=0.0,
             faults=plan,
-        )
+        ).run(shards, sum_shard)
         assert sorted(state.values) == list(range(200))
         assert not report.failed
         assert report.retries >= 1
@@ -313,14 +305,12 @@ class TestExecutorFaults:
             0,
             [FaultRule("map.worker_death", times=1, match="0002-of-0004")],
         )
-        state, report = run_shards(
-            shards,
-            sum_shard,
+        state, report = ShardExecutor(
             backend="serial",
             retries=1,
             backoff_s=0.0,
             faults=plan,
-        )
+        ).run(shards, sum_shard)
         assert sorted(state.values) == list(range(200))
         assert report.retries == 1
 
@@ -328,14 +318,12 @@ class TestExecutorFaults:
         plan = FaultPlan(
             0, [FaultRule("map.exception", times=1, match="0002-of-0004")]
         )
-        run_shards(
-            shards,
-            sum_shard,
+        ShardExecutor(
             backend="serial",
             retries=1,
             backoff_s=0.0,
             faults=plan,
-        )
+        ).run(shards, sum_shard)
         assert plan.fired()["map.exception"] == 1
 
 
@@ -401,17 +389,18 @@ class TestCheckpointFaults:
         store = CheckpointStore(tmp_path / "ckpt")
         plan = FaultPlan(0, [FaultRule("checkpoint.torn", match="0000")])
         # Run 1 writes one torn checkpoint; its in-memory state is fine.
-        first, report1 = run_shards(
-            shards, sum_shard, checkpoint=store, faults=plan
-        )
+        first, report1 = ShardExecutor(
+            checkpoint=store,
+            faults=plan,
+        ).run(shards, sum_shard)
         assert not report1.failed
         # Run 2 (no faults) must recompute the torn shard, not crash.
-        second, report2 = run_shards(shards, sum_shard, checkpoint=store)
+        second, report2 = ShardExecutor(checkpoint=store).run(shards, sum_shard)
         assert sorted(second.values) == sorted(first.values)
         assert report2.recomputed_checkpoints == 1
         assert report2.skipped == 1  # the healthy checkpoint still served
         # The recompute re-saved a good checkpoint: run 3 skips both.
-        _, report3 = run_shards(shards, sum_shard, checkpoint=store)
+        _, report3 = ShardExecutor(checkpoint=store).run(shards, sum_shard)
         assert report3.skipped == 2
         assert report3.recomputed_checkpoints == 0
 

@@ -30,6 +30,7 @@ from repro.core.pipeline import (
 from repro.obs import runtime
 from repro.obs.registry import MetricsRegistry
 from repro.periodicity.detector import DetectorConfig
+from repro.stream import StreamConfig
 from repro.synth.workload import WorkloadBuilder, short_term_config
 
 NUM_SHARDS = 8
@@ -145,9 +146,9 @@ class TestStreamConservation:
         with obs.installed(registry):
             result = run_stream(
                 records,
-                window_s=120.0,
-                detect_periods=False,
-                predict_urls=False,
+                config=StreamConfig(
+                    window_s=120.0, detect_periods=False, predict_urls=False
+                ),
             )
         counters = registry.snapshot()["counters"]
         assert counters["windows.records_in"] == len(records)
@@ -165,11 +166,13 @@ class TestStreamConservation:
         with obs.installed(registry):
             run_stream(
                 records,
-                window_s=120.0,
-                detect_periods=False,
-                predict_urls=False,
-                ingest_workers=2,
-                queue_policy="block",
+                config=StreamConfig(
+                    window_s=120.0,
+                    detect_periods=False,
+                    predict_urls=False,
+                    ingest_workers=2,
+                    queue_policy="block",
+                ),
             )
         counters = registry.snapshot()["counters"]
         assert counters["ingest.records_delivered"] == len(records)

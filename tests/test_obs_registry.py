@@ -234,6 +234,42 @@ class TestRuntime:
         assert shard.snapshot()["counters"]["worker.x"] == 1
         assert "worker.x" not in ambient.snapshot()["counters"]
 
+    @pytest.mark.parametrize("module,state", [
+        ("repro.obs.runtime", "_registry"),
+        ("repro.faults.runtime", "_plan"),
+    ])
+    def test_late_exit_keeps_newer_install(self, module, state, monkeypatch):
+        """Regression: a thread leaving ``installed(b)`` after the main
+        thread installed ``c`` used to restore the pre-``b`` value in
+        the obs runtime, so ``c`` stopped receiving records."""
+        import copy
+        import importlib
+
+        ambient = importlib.import_module(module)
+        # Out-of-order exits leave ``b`` installed at the end; run
+        # against a copy of the runtime's state so it cannot leak.
+        monkeypatch.setattr(ambient, state, copy.copy(getattr(ambient, state)))
+        b, c = object(), object()
+        entered, release = threading.Event(), threading.Event()
+
+        def worker():
+            with ambient.installed(b):
+                entered.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(timeout=10)
+            with ambient.installed(c):
+                release.set()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                assert ambient.active() is c
+        finally:
+            release.set()
+            thread.join(timeout=10)
+
 
 class TestSpans:
     def test_span_records_timing_and_tags(self):

@@ -29,7 +29,7 @@ from repro.core.pipeline import (
 )
 from repro.logs.partition import write_partitioned
 from repro.periodicity.detector import DetectorConfig
-from repro.stream import merge_accumulators, merged_pattern_report
+from repro.stream import StreamConfig, merge_accumulators, merged_pattern_report
 from repro.stream.accumulators import merged_characterization
 from repro.synth.workload import WorkloadBuilder, long_term_config
 from tests.test_engine_differential import assert_periodicity_identical
@@ -68,15 +68,14 @@ def serial_patterns(logs):
 
 def stream_merge(records, window_s, **kwargs):
     """Replay through the stream service, merge all sealed windows."""
-    result = run_stream(
-        records,
+    config = StreamConfig(
         window_s=window_s,
         watermark_lag_s=DISORDER_S,
         detect_periods=False,  # per-window analysis is not under test
         predict_urls=False,
-        keep_accumulators=True,
         **kwargs,
     )
+    result = run_stream(records, config=config, keep_accumulators=True)
     assert result.late_dropped == 0, "disorder stayed within the lag"
     return result, merge_accumulators(result.accumulators)
 
@@ -124,15 +123,16 @@ class TestThreadedIngestEqualsBatch:
         root = tmp_path_factory.mktemp("stream-diff") / "parts"
         write_partitioned(logs, root)
         for workers in (1, 3):
-            result = run_stream(
-                logs_dir=str(root),
+            config = StreamConfig(
                 window_s=WINDOW_SIZES[0],
                 watermark_lag_s=DISORDER_S,
                 detect_periods=False,
                 predict_urls=False,
                 ingest_workers=workers,
                 queue_capacity=256,
-                keep_accumulators=True,
+            )
+            result = run_stream(
+                logs_dir=str(root), config=config, keep_accumulators=True
             )
             assert result.late_dropped == 0
             assert result.records_windowed == len(logs)

@@ -49,13 +49,7 @@ def fast_config(**overrides):
 class TestSnapshotsAndEmission:
     def test_jsonl_emission_matches_snapshots(self, tmp_path):
         out = tmp_path / "windows.jsonl"
-        result = run_stream(
-            minute_logs(240),
-            window_s=60.0,
-            detect_periods=False,
-            predict_urls=False,
-            emit=str(out),
-        )
+        result = run_stream(minute_logs(240), config=fast_config(), emit=str(out))
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == len(result.snapshots) == result.sealed_windows
         for line, snapshot in zip(lines, result.snapshots):
@@ -147,11 +141,7 @@ def characterization_windows(logs, window_s=60.0):
     """Snapshots of the characterization-only tumbling path that the
     ``windows`` command prints."""
     return run_stream(
-        logs,
-        window_s=window_s,
-        tracks=("characterization",),
-        detect_periods=False,
-        predict_urls=False,
+        logs, config=fast_config(window_s=window_s, tracks=("characterization",))
     ).snapshots
 
 
@@ -367,11 +357,7 @@ class TestRunStreamValidation:
         records = minute_logs(100)
         result = run_stream(
             iterable_source(records),
-            window_s=60.0,
-            detect_periods=False,
-            predict_urls=False,
-            queue_policy="drop",
-            queue_capacity=10_000,
+            config=fast_config(queue_policy="drop", queue_capacity=10_000),
         )
         assert result.ingest is not None  # queue path, not replay
         assert result.records_windowed == len(records)
@@ -379,20 +365,8 @@ class TestRunStreamValidation:
     def test_emitter_instance_is_not_closed(self, tmp_path):
         out = tmp_path / "win.jsonl"
         emitter = JsonlEmitter(str(out))
-        run_stream(
-            minute_logs(100),
-            window_s=60.0,
-            detect_periods=False,
-            predict_urls=False,
-            emit=emitter,
-        )
+        run_stream(minute_logs(100), config=fast_config(), emit=emitter)
         # Caller-owned emitter stays open for the next run.
-        run_stream(
-            minute_logs(100),
-            window_s=60.0,
-            detect_periods=False,
-            predict_urls=False,
-            emit=emitter,
-        )
+        run_stream(minute_logs(100), config=fast_config(), emit=emitter)
         emitter.close()
         assert out.read_text().count("\n") >= 2
